@@ -19,7 +19,7 @@ RACE_PKGS = ./internal/registry/... ./internal/index ./internal/server ./interna
 COVER_FLOOR = 85
 COVER_PKGS = ./internal/lexical ./internal/search ./internal/registry/storage ./internal/qcache
 
-.PHONY: build test vet fmt-check docs bench race purego cover-check searchbench-smoke metrics-smoke flowbench-smoke clusterbench-smoke persistbench-smoke verify
+.PHONY: build test vet fmt-check docs bench race purego cover-check searchbench-smoke metrics-smoke flowbench-smoke clusterbench-smoke persistbench-smoke benchmark-smoke verify
 
 build:
 	$(GO) build ./...
@@ -113,4 +113,13 @@ clusterbench-smoke:
 persistbench-smoke:
 	$(GO) run ./cmd/laminar-bench -persistbench-smoke
 
-verify: build vet fmt-check docs test race purego cover-check searchbench-smoke metrics-smoke flowbench-smoke clusterbench-smoke persistbench-smoke
+# benchmark-smoke is the end-to-end gate: the repo's benchmark
+# (BENCHMARK.json, ./benchmark) boots the real laminar-server on a small
+# corpus and runs all six workloads for a few seconds each, failing when a
+# server does not boot, a reply is wrong, or a declared metric comes back
+# without a finite value. It checks that the benchmark still runs against
+# this tree, not how fast the tree is: ~25 s, no timing is gated.
+benchmark-smoke:
+	$(GO) run ./benchmark smoke
+
+verify: build vet fmt-check docs test race purego cover-check searchbench-smoke metrics-smoke flowbench-smoke clusterbench-smoke persistbench-smoke benchmark-smoke

@@ -7,7 +7,9 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -27,7 +29,9 @@ import (
 //   - the exposition stops parsing as Prometheus text,
 //   - the probe/stop-rule histograms or the per-route latency histograms
 //     come back empty under traffic that must populate them,
-//   - the retrain counters stop counting, or
+//   - the retrain counters stop counting,
+//   - a registry load stops accounting for its stages (a stage gauge goes
+//     missing, or the stages no longer add up to the load), or
 //   - docs/operations.md and the live endpoint disagree about which
 //     metrics exist (the runbook documents every family by exact name; a
 //     metric added without a runbook row — or a runbook row whose metric
@@ -92,6 +96,20 @@ func RunMetricsSmoke(docPath string) (string, error) {
 	}
 	reg.RetrainIndexes()
 
+	// One save and one load, so the scrape shows a load and its stages.
+	dir, err := os.MkdirTemp("", "laminar-metrics-smoke-")
+	if err != nil {
+		return "", fmt.Errorf("metrics-smoke: %w", err)
+	}
+	defer os.RemoveAll(dir)
+	snapPath := filepath.Join(dir, "registry.json")
+	if err := reg.Save(snapPath); err != nil {
+		return "", fmt.Errorf("metrics-smoke: saving registry: %w", err)
+	}
+	if err := reg.Load(snapPath); err != nil {
+		return "", fmt.Errorf("metrics-smoke: loading registry: %w", err)
+	}
+
 	for _, q := range qs {
 		if err := smokePost(addr+"/registry/smoke/search", core.SearchRequest{
 			Search:         "smoke query",
@@ -134,6 +152,7 @@ func RunMetricsSmoke(docPath string) (string, error) {
 		{`laminar_http_requests_total{route="POST /registry/{user}/search",code="200"}`, smokeQueries},
 		{`laminar_index_retrains_total{index="desc"}`, 1},
 		{`laminar_registry_pes`, smokeCorpusSize},
+		{`laminar_registry_loads_total`, 1},
 	}
 	for _, c := range checks {
 		v, ok := samples[c.sample]
@@ -153,6 +172,24 @@ func RunMetricsSmoke(docPath string) (string, error) {
 	}
 	if stops < smokeQueries {
 		return "", fmt.Errorf("metrics-smoke: stop-rule attributions (%g) below query count (%d)", stops, smokeQueries)
+	}
+
+	// The one load's stages are all there and add up to it: at least half
+	// its wall-clock time (the rest opens files and takes locks), at most
+	// what the overlap allows — the two restores run side by side, section
+	// decodes on up to GOMAXPROCS processors. No journal here, so replay
+	// is set but may be zero.
+	var stageSum float64
+	for _, stage := range []string{"records", "vectors", "index_sections", "lexical_sections", "index_restore", "lexical_restore", "replay"} {
+		v, ok := samples[fmt.Sprintf(`laminar_registry_load_stage_seconds{stage=%q}`, stage)]
+		if !ok || (v <= 0 && stage != "replay") {
+			return "", fmt.Errorf("metrics-smoke: load stage %q = %g (exported: %v)", stage, v, ok)
+		}
+		stageSum += v
+	}
+	loadWall := samples["laminar_registry_load_seconds_sum"]
+	if overlap := float64(max(2, runtime.GOMAXPROCS(0))); stageSum < 0.5*loadWall || stageSum > overlap*loadWall {
+		return "", fmt.Errorf("metrics-smoke: load stages sum to %gs but the load took %gs (want within [0.5, %g] of it)", stageSum, loadWall, overlap)
 	}
 
 	// Runbook cross-validation: every family the endpoint exports is

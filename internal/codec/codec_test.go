@@ -1,7 +1,10 @@
 package codec
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -97,4 +100,56 @@ func TestCompressionHelps(t *testing.T) {
 	if len(enc) >= len(big) {
 		t.Errorf("envelope (%d bytes) should compress repetitive source (%d bytes)", len(enc), len(big))
 	}
+}
+
+// Decode recycles its inflate state: a fresh gzip reader costs ~40 KB per
+// call, an order of magnitude more than a small envelope needs.
+func TestDecodeReusesInflateState(t *testing.T) {
+	enc, err := Encode(Envelope{Kind: KindPE, Name: "IsPrime", Source: "class IsPrime(IterativePE):\n    pass\n"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := Decode(enc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / runs; perCall > 16<<10 {
+		t.Fatalf("Decode allocates %d bytes per call, want under 16 KiB (inflate state not reused?)", perCall)
+	}
+}
+
+// A pooled reader that met garbage, or that another goroutine just used,
+// must decode the next envelope exactly like a fresh one.
+func TestDecodeSurvivesGarbageAndConcurrency(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				src := fmt.Sprintf("x = %d\nprint(x * %d)\n", g, i)
+				enc, err := Encode(Envelope{Kind: KindWorkflow, Name: "wf", Source: src})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := Decode("LAM1aGVsbG8="); err == nil {
+					t.Error("garbage decoded")
+				}
+				// Valid gzip header, truncated body: fails mid-stream.
+				if _, err := Decode(enc[:len(enc)/2&^3]); err == nil {
+					t.Error("truncated envelope decoded")
+				}
+				if dec, err := Decode(enc); err != nil || dec.Source != src {
+					t.Errorf("after garbage: %v, source %q", err, dec.Source)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -41,7 +41,7 @@ func Tokenize(text string) []string {
 type docEntry struct {
 	terms  map[string]uint32 // term → tf
 	length uint32            // total tokens (sum of tfs)
-	sum    uint64            // FNV-1a of the source text (snapshot binding)
+	sum    uint64            // SourceSum of what it was derived from (snapshot binding)
 }
 
 // Index is an incrementally maintained BM25 inverted index. All methods
@@ -83,6 +83,13 @@ func (ix *Index) Terms() int {
 // that tokenizes to nothing removes the document — the same
 // empty-input-removes convention the vector indexes use.
 func (ix *Index) Upsert(id int, text string) {
+	ix.UpsertBound(id, text, SourceSum(text))
+}
+
+// UpsertBound is Upsert for a caller that derives text from cheaper
+// source fields: sum is the SourceSum of those fields, and it is what a
+// later Restore compares, so the caller never re-derives text to restore.
+func (ix *Index) UpsertBound(id int, text string, sum uint64) {
 	tokens := Tokenize(text)
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -93,7 +100,7 @@ func (ix *Index) Upsert(id int, text string) {
 	entry := &docEntry{
 		terms:  make(map[string]uint32, len(tokens)),
 		length: uint32(len(tokens)),
-		sum:    sourceSum(text),
+		sum:    sum,
 	}
 	for _, t := range tokens {
 		entry.terms[t]++

@@ -2,10 +2,12 @@ package lexical
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestTokenizeSplitsIdentifiers(t *testing.T) {
@@ -127,6 +129,16 @@ func TestBM25RareTermOutweighsCommon(t *testing.T) {
 	}
 }
 
+// sumsOf is what Restore compares a snapshot against when documents were
+// indexed with plain Upsert: each text is its own single source field.
+func sumsOf(docs map[int]string) map[int]uint64 {
+	sums := make(map[int]uint64, len(docs))
+	for id, text := range docs {
+		sums[id] = SourceSum(text)
+	}
+	return sums
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	ix := New()
 	docs := map[int]string{
@@ -152,7 +164,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 
 	restored := New()
-	if err := restored.Restore(decoded, docs); err != nil {
+	if err := restored.Restore(decoded, sumsOf(docs)); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
 	// The restored index must rank identically to the rebuilt one.
@@ -207,7 +219,7 @@ func TestRestoreRejectsStaleOrMismatched(t *testing.T) {
 	for _, tc := range cases {
 		fresh := New()
 		fresh.Upsert(42, "pre-existing state")
-		if err := fresh.Restore(snap, tc.docs); err == nil {
+		if err := fresh.Restore(snap, sumsOf(tc.docs)); err == nil {
 			t.Errorf("%s: Restore succeeded, want error", tc.name)
 		}
 		// A failed restore must leave the index unchanged.
@@ -218,7 +230,7 @@ func TestRestoreRejectsStaleOrMismatched(t *testing.T) {
 
 	// Happy path still works after the negative cases.
 	fresh := New()
-	if err := fresh.Restore(snap, docs); err != nil {
+	if err := fresh.Restore(snap, sumsOf(docs)); err != nil {
 		t.Fatalf("valid Restore: %v", err)
 	}
 
@@ -227,14 +239,14 @@ func TestRestoreRejectsStaleOrMismatched(t *testing.T) {
 	if err := empty.Restore(nil, nil); err != nil {
 		t.Fatalf("nil snapshot + empty store should restore: %v", err)
 	}
-	if err := empty.Restore(nil, docs); err == nil {
+	if err := empty.Restore(nil, sumsOf(docs)); err == nil {
 		t.Fatal("nil snapshot + populated store should fail")
 	}
 }
 
 func TestRestoreRejectsCorruptStatistics(t *testing.T) {
 	docs := map[int]string{1: "alpha beta"}
-	sum := sourceSum("alpha beta")
+	sum := SourceSum("alpha beta")
 	cases := []struct {
 		name string
 		snap *Snapshot
@@ -249,7 +261,7 @@ func TestRestoreRejectsCorruptStatistics(t *testing.T) {
 			Terms: []TermCount{{"alpha", 1}, {"alpha", 1}}}}}},
 	}
 	for _, tc := range cases {
-		if err := New().Restore(tc.snap, docs); err == nil {
+		if err := New().Restore(tc.snap, sumsOf(docs)); err == nil {
 			t.Errorf("%s: Restore succeeded, want error", tc.name)
 		}
 	}
@@ -295,4 +307,90 @@ func TestConcurrentUpsertSearch(t *testing.T) {
 		ix.Terms()
 	}
 	<-done
+}
+
+// SourceSum length-prefixes every field: the same bytes split at another
+// field boundary are a different source.
+func TestSourceSumBindsFieldBoundaries(t *testing.T) {
+	base := SourceSum("name", "desc", "code")
+	if base != SourceSum("name", "desc", "code") {
+		t.Fatal("SourceSum is not deterministic")
+	}
+	for name, other := range map[string]uint64{
+		"moved boundary": SourceSum("named", "esc", "code"),
+		"merged fields":  SourceSum("namedesc", "code"),
+		"empty field":    SourceSum("name", "desc", "code", ""),
+		"changed byte":   SourceSum("name", "desc", "codf"),
+		"swapped fields": SourceSum("desc", "name", "code"),
+	} {
+		if other == base {
+			t.Errorf("%s: sum unchanged", name)
+		}
+	}
+}
+
+// A document upserted under a caller's sum restores against that sum and
+// nothing else — not against the sum of its text.
+func TestUpsertBoundRestoresAgainstCallerSum(t *testing.T) {
+	ix := New()
+	sum := SourceSum("photonFilter", "filters photons", "<opaque envelope>")
+	ix.UpsertBound(7, "photonFilter\nfilters photons\nclass PhotonFilter: pass", sum)
+	snap := ix.Snapshot()
+	if snap.Docs[0].SourceSum != sum {
+		t.Fatalf("snapshot carries sum %x, want the caller's %x", snap.Docs[0].SourceSum, sum)
+	}
+	restored := New()
+	if err := restored.Restore(snap, map[int]uint64{7: sum}); err != nil {
+		t.Fatalf("Restore against the caller's sum: %v", err)
+	}
+	if hits := restored.Search("photon filter", 5, nil); len(hits) != 1 || hits[0].ID != 7 {
+		t.Fatalf("restored index lost the document: %+v", hits)
+	}
+	if err := New().Restore(snap, map[int]uint64{7: SourceSum("photonFilter\nfilters photons\nclass PhotonFilter: pass")}); err == nil {
+		t.Fatal("Restore accepted the sum of the text for a document bound to its source fields")
+	}
+}
+
+// A version-1 snapshot has the same layout but sums the document text; it
+// must decode as an unknown version so the caller rebuilds, never restore
+// against sums that mean something else.
+func TestDecodeRejectsVersion1(t *testing.T) {
+	ix := New()
+	ix.Upsert(1, "alpha beta")
+	var buf bytes.Buffer
+	if err := ix.Snapshot().Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	if got := binary.LittleEndian.Uint32(raw); got != 2 {
+		t.Fatalf("Encode wrote version %d, want 2", got)
+	}
+	binary.LittleEndian.PutUint32(raw, 1)
+	if _, err := DecodeSnapshot(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "unknown snapshot version 1") {
+		t.Fatalf("version 1 decoded: %v", err)
+	}
+}
+
+// Equal terms of different documents decode to one shared string.
+func TestDecodeInternsTerms(t *testing.T) {
+	ix := New()
+	for id := 1; id <= 3; id++ {
+		ix.Upsert(id, "shared term everywhere")
+	}
+	var buf bytes.Buffer
+	if err := ix.Snapshot().Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := DecodeSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := snap.Docs[0].Terms
+	for _, doc := range snap.Docs[1:] {
+		for i, tc := range doc.Terms {
+			if tc.Term != first[i].Term || unsafe.StringData(tc.Term) != unsafe.StringData(first[i].Term) {
+				t.Fatalf("doc %d term %q is its own copy", doc.ID, tc.Term)
+			}
+		}
+	}
 }

@@ -3,21 +3,23 @@ package lexical
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sort"
 )
 
-// snapshotVersion is bumped whenever the binary layout changes; a restore
-// of an unknown version fails and the caller rebuilds from source text.
-const snapshotVersion = 1
+// snapshotVersion is bumped whenever the binary layout or the meaning of a
+// field changes; a restore of an unknown version fails and the caller
+// rebuilds from source text. Version 2 kept version 1's layout and changed
+// what DocSnapshot.SourceSum covers: the source fields (SourceSum), not
+// the document text derived from them.
+const snapshotVersion = 2
 
 // Snapshot is the index's durable term statistics: everything needed to
-// serve BM25 without re-tokenizing the corpus. Each document carries an
-// FNV-1a checksum of the source text it was built from, so a restore can
-// refuse a snapshot that no longer matches the records it rides alongside
-// — the same derivable-section contract the vector index snapshots use
-// (see storage: absent or stale sections mean rebuild, never corruption).
+// serve BM25 without re-tokenizing the corpus. Each document carries the
+// checksum of the source it was built from, so a restore can refuse a
+// snapshot that no longer matches the records it rides alongside — the
+// same derivable-section contract the vector index snapshots use (see
+// storage: absent or stale sections mean rebuild, never corruption).
 type Snapshot struct {
 	Docs []DocSnapshot
 }
@@ -25,7 +27,7 @@ type Snapshot struct {
 // DocSnapshot is one document's stored statistics.
 type DocSnapshot struct {
 	ID        int
-	SourceSum uint64 // FNV-1a of the source text
+	SourceSum uint64 // the sum the document was upserted under
 	Length    uint32 // total tokens
 	Terms     []TermCount
 }
@@ -36,12 +38,25 @@ type TermCount struct {
 	TF   uint32
 }
 
-// sourceSum is the FNV-1a checksum binding a snapshot entry to its source
-// text; comparing sums on restore is ~100x cheaper than re-tokenizing.
-func sourceSum(text string) uint64 {
-	h := fnv.New64a()
-	io.WriteString(h, text)
-	return h.Sum64()
+// SourceSum is the FNV-1a checksum that binds a document to the source it
+// was derived from. Each field contributes its length and then its bytes,
+// so moving text across a field boundary changes the sum. A caller whose
+// documents are expensive to derive (the registry inflates a PE's code
+// envelope to build one) sums the fields it derives them from and restores
+// without deriving anything. The hash is written out rather than taken
+// from hash/fnv so a sum costs no hasher and no copy of its strings.
+func SourceSum(fields ...string) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for _, f := range fields {
+		for n, shift := uint64(len(f)), 0; shift < 64; shift += 8 {
+			h = (h ^ (n>>shift)&0xff) * prime
+		}
+		for i := 0; i < len(f); i++ {
+			h = (h ^ uint64(f[i])) * prime
+		}
+	}
+	return h
 }
 
 // Snapshot captures the index's current statistics in deterministic order
@@ -70,26 +85,26 @@ func (ix *Index) Snapshot() *Snapshot {
 }
 
 // Restore replaces the index's contents from a snapshot, validating each
-// stored document against the live source text in docs (id → text). The
-// check is all-or-nothing: any missing document, extra document, or
-// checksum mismatch returns an error and leaves the index unchanged, and
-// the caller rebuilds from source via Upsert. A nil snapshot restores only
-// when docs is empty too.
-func (ix *Index) Restore(snap *Snapshot, docs map[int]string) error {
+// stored document against the live source in sums (id → the sum an Upsert
+// of that document would bind today). The check is all-or-nothing: any
+// missing document, extra document, or checksum mismatch returns an error
+// and leaves the index unchanged, and the caller rebuilds from source via
+// Upsert. A nil snapshot restores only when sums is empty too.
+func (ix *Index) Restore(snap *Snapshot, sums map[int]uint64) error {
 	var sdocs []DocSnapshot
 	if snap != nil {
 		sdocs = snap.Docs
 	}
-	if len(sdocs) != len(docs) {
-		return fmt.Errorf("lexical: snapshot has %d docs, store has %d", len(sdocs), len(docs))
+	if len(sdocs) != len(sums) {
+		return fmt.Errorf("lexical: snapshot has %d docs, store has %d", len(sdocs), len(sums))
 	}
 	entries := make(map[int]*docEntry, len(sdocs))
 	for _, doc := range sdocs {
-		text, ok := docs[doc.ID]
+		sum, ok := sums[doc.ID]
 		if !ok {
 			return fmt.Errorf("lexical: snapshot doc %d not in store", doc.ID)
 		}
-		if doc.SourceSum != sourceSum(text) {
+		if doc.SourceSum != sum {
 			return fmt.Errorf("lexical: snapshot doc %d stale (source changed)", doc.ID)
 		}
 		if _, dup := entries[doc.ID]; dup {
@@ -186,10 +201,15 @@ func (s *Snapshot) Encode(w io.Writer) error {
 
 // DecodeSnapshot reads the binary form Encode writes. It validates
 // structure (version, counts, sane lengths) but not source checksums —
-// that is Restore's job, which has the live text to compare against.
+// that is Restore's job, which has the live source to compare against.
+// It reads a few bytes at a time, so hand it a buffered reader. Equal
+// terms share one string: a corpus repeats each of its terms in many
+// documents, and the restored index keeps every one of them alive.
 func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	le := binary.LittleEndian
 	var scratch [8]byte
+	var termBuf []byte
+	interned := map[string]string{}
 	readU32 := func() (uint32, error) {
 		if _, err := io.ReadFull(r, scratch[:4]); err != nil {
 			return 0, err
@@ -242,15 +262,23 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 				return nil, fmt.Errorf("lexical: snapshot doc %d term %d: %w", i, j, err)
 			}
 			termLen := int(le.Uint16(scratch[:2]))
-			buf := make([]byte, termLen)
-			if _, err := io.ReadFull(r, buf); err != nil {
+			if cap(termBuf) < termLen {
+				termBuf = make([]byte, termLen)
+			}
+			termBuf = termBuf[:termLen]
+			if _, err := io.ReadFull(r, termBuf); err != nil {
 				return nil, fmt.Errorf("lexical: snapshot doc %d term %d bytes: %w", i, j, err)
+			}
+			term, ok := interned[string(termBuf)]
+			if !ok {
+				term = string(termBuf)
+				interned[term] = term
 			}
 			tf, err := readU32()
 			if err != nil {
 				return nil, fmt.Errorf("lexical: snapshot doc %d term %d tf: %w", i, j, err)
 			}
-			doc.Terms = append(doc.Terms, TermCount{Term: string(buf), TF: tf})
+			doc.Terms = append(doc.Terms, TermCount{Term: term, TF: tf})
 		}
 		snap.Docs = append(snap.Docs, doc)
 	}

@@ -373,7 +373,7 @@ func (s *Store) applyDeltaLocked(d *storage.Delta) {
 		} else {
 			s.codeIndex.Delete(pe.PEID)
 		}
-		s.peLex.Upsert(pe.PEID, peLexDoc(&pe))
+		upsertPELex(s.peLex, pe.PEID, &pe)
 	}
 	for _, id := range d.RemovedWorkflows {
 		if _, ok := s.workflows[id]; ok {
@@ -392,7 +392,7 @@ func (s *Store) applyDeltaLocked(d *storage.Delta) {
 		} else {
 			s.wfIndex.Delete(wf.WorkflowID)
 		}
-		s.wfLex.Upsert(wf.WorkflowID, wfLexDoc(&wf))
+		upsertWFLex(s.wfLex, wf.WorkflowID, &wf)
 	}
 	for uid, ids := range d.UserPEs {
 		s.userPEs[uid] = intSet(ids)

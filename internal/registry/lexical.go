@@ -51,36 +51,58 @@ func wfLexDoc(wf *core.WorkflowRecord) string {
 	return wf.WorkflowName + "\n" + wf.EntryPoint + "\n" + wf.Description
 }
 
-// restoreOrRebuildLexicalLocked replaces both lexical indexes after a Load:
-// restored from the snapshot when every per-document source checksum still
-// matches the freshly loaded records (all-or-nothing across both indexes),
-// re-tokenized from scratch otherwise — absent sections (v1 files,
-// pre-lexical sidecars) and stale snapshots cost a rebuild, never a load
-// failure. Caller holds pesMu and wfsMu (read or stronger) and idxMu.W.
-func (s *Store) restoreOrRebuildLexicalLocked(snaps *storage.LexicalSnapshots) {
-	peDocs := make(map[int]string, len(s.pes))
-	for id, pe := range s.pes {
-		peDocs[id] = peLexDoc(pe)
-	}
-	wfDocs := make(map[int]string, len(s.workflows))
-	for id, wf := range s.workflows {
-		wfDocs[id] = wfLexDoc(wf)
-	}
+// peLexSum and wfLexSum bind a lexical entry to the record fields its
+// document is derived from. The PE sum covers the raw PECode, not the
+// inflated source: a restore compares sums without opening one envelope.
+func peLexSum(pe *core.PERecord) uint64 {
+	return lexical.SourceSum(pe.PEName, pe.Description, pe.PECode)
+}
+
+func wfLexSum(wf *core.WorkflowRecord) uint64 {
+	return lexical.SourceSum(wf.WorkflowName, wf.EntryPoint, wf.Description)
+}
+
+// upsertPELex and upsertWFLex are the only ways a record enters a lexical
+// index, so a document and the sum it is bound under cannot drift apart.
+func upsertPELex(lex *lexical.Index, id int, pe *core.PERecord) {
+	lex.UpsertBound(id, peLexDoc(pe), peLexSum(pe))
+}
+
+func upsertWFLex(lex *lexical.Index, id int, wf *core.WorkflowRecord) {
+	lex.UpsertBound(id, wfLexDoc(wf), wfLexSum(wf))
+}
+
+// loadLexicalLocked builds both lexical indexes for freshly loaded
+// records: restored from the snapshot when every per-document source sum
+// still matches (all-or-nothing across both indexes), re-tokenized from
+// scratch otherwise — absent sections (v1 files, pre-lexical sidecars),
+// sections of an older snapshot version and stale snapshots cost a
+// rebuild, never a load failure. Only the rebuild derives documents.
+// Caller holds pesMu and wfsMu (read or stronger); the result is
+// installed under idxMu.W.
+func (s *Store) loadLexicalLocked(snaps *storage.LexicalSnapshots) (peLex, wfLex *lexical.Index) {
+	peLex, wfLex = lexical.New(), lexical.New()
 	if snaps != nil {
-		peLex, wfLex := lexical.New(), lexical.New()
-		if peLex.Restore(snaps.PE, peDocs) == nil && wfLex.Restore(snaps.Workflow, wfDocs) == nil {
-			s.peLex, s.wfLex = peLex, wfLex
-			return
+		peSums := make(map[int]uint64, len(s.pes))
+		for id, pe := range s.pes {
+			peSums[id] = peLexSum(pe)
 		}
+		wfSums := make(map[int]uint64, len(s.workflows))
+		for id, wf := range s.workflows {
+			wfSums[id] = wfLexSum(wf)
+		}
+		if peLex.Restore(snaps.PE, peSums) == nil && wfLex.Restore(snaps.Workflow, wfSums) == nil {
+			return peLex, wfLex
+		}
+		peLex, wfLex = lexical.New(), lexical.New()
 	}
-	peLex, wfLex := lexical.New(), lexical.New()
-	for id, doc := range peDocs {
-		peLex.Upsert(id, doc)
+	for id, pe := range s.pes {
+		upsertPELex(peLex, id, pe)
 	}
-	for id, doc := range wfDocs {
-		wfLex.Upsert(id, doc)
+	for id, wf := range s.workflows {
+		upsertWFLex(wfLex, id, wf)
 	}
-	s.peLex, s.wfLex = peLex, wfLex
+	return peLex, wfLex
 }
 
 // HybridQuery parameterizes HybridSearch.

@@ -8,6 +8,7 @@ import (
 
 	"laminar/internal/core"
 	"laminar/internal/index"
+	"laminar/internal/lexical"
 	"laminar/internal/registry/storage"
 )
 
@@ -181,6 +182,7 @@ func (s *Store) Load(path string) error {
 	s.idxMu.Lock()
 	defer s.idxMu.Unlock()
 
+	installStart := time.Now()
 	s.users = map[int]*core.UserRecord{}
 	s.pes = map[int]*core.PERecord{}
 	s.workflows = map[int]*core.WorkflowRecord{}
@@ -234,6 +236,20 @@ func (s *Store) Load(path string) error {
 	s.nextUserID = snap.NextUserID
 	s.nextPEID = snap.NextPEID
 	s.nextWorkflowID = snap.NextWorkflowID
+	installed := time.Now()
+	// The lexical indexes restore or rebuild beside the vector indexes:
+	// both only read the records just installed, and neither needs the
+	// other. Unlike the vector-index snapshots the lexical ones are not
+	// stashed: their kind never changes, so no later ConfigureIndex could
+	// use a retained snapshot.
+	var peLex, wfLex *lexical.Index
+	var lexTook time.Duration
+	lexDone := make(chan struct{})
+	go func() {
+		defer close(lexDone)
+		peLex, wfLex = s.loadLexicalLocked(snap.Lexical)
+		lexTook = time.Since(installed)
+	}()
 	// Restore the persisted index structure when it still matches the
 	// records (same kind, same version, checksum over exactly these
 	// embeddings); otherwise — missing, stale, or foreign-kind snapshot —
@@ -244,15 +260,29 @@ func (s *Store) Load(path string) error {
 	if !s.tryRestoreIndexesLocked() {
 		s.rebuildIndexesLocked()
 	}
-	// The lexical indexes restore or rebuild on the same terms, but are
-	// not stashed: unlike the vector indexes their kind never changes, so
-	// no later ConfigureIndex could use a retained snapshot.
-	s.restoreOrRebuildLexicalLocked(snap.Lexical)
+	indexTook := time.Since(installed)
+	<-lexDone
+	s.peLex, s.wfLex = peLex, wfLex
 	// Replay the journal on top of the installed base. The storage layer
 	// already proved the segments form an unbroken chain to exactly this
 	// base, so applying them in order reproduces the last saved state.
+	replayStart := time.Now()
 	for _, d := range deltas {
 		s.applyDeltaLocked(d)
+	}
+	if m != nil {
+		st := snap.LoadStages
+		for stage, took := range map[string]time.Duration{
+			"records":          st.Records + installed.Sub(installStart),
+			"vectors":          st.Vectors,
+			"index_sections":   st.IndexSections,
+			"lexical_sections": st.LexicalSections,
+			"index_restore":    indexTook,
+			"lexical_restore":  lexTook,
+			"replay":           st.Journal + time.Since(replayStart),
+		} {
+			m.loadStageSeconds.With(stage).Set(took.Seconds())
+		}
 	}
 	// Continue the journal where it left off, with a clean dirty set (the
 	// in-memory state now equals the on-disk state byte for byte). saveMu

@@ -285,7 +285,7 @@ func (s *Store) indexPE(id int, pe *core.PERecord) {
 		code.Upsert(id, pe.CodeEmbedding)
 	}
 	peLex, _ := s.lexIndexes()
-	peLex.Upsert(id, peLexDoc(pe))
+	upsertPELex(peLex, id, pe)
 }
 
 // indexWorkflow upserts a workflow's description embedding into the
@@ -296,7 +296,7 @@ func (s *Store) indexWorkflow(id int, wf *core.WorkflowRecord) {
 		wfIdx.Upsert(id, wf.DescEmbedding)
 	}
 	_, wfLex := s.lexIndexes()
-	wfLex.Upsert(id, wfLexDoc(wf))
+	upsertWFLex(wfLex, id, wf)
 }
 
 // SetReadOnly switches the store's write protection. A read-only store

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 
 	"laminar/internal/core"
 )
@@ -361,13 +362,7 @@ func DecodeDelta(data []byte) (*Delta, DeltaMeta, string, error) {
 		if !ok {
 			return nil, fmt.Errorf("storage: delta segment is missing section %s", name)
 		}
-		var out map[int][]float32
-		err := readSection(r, sec, func(sr io.Reader) error {
-			var derr error
-			out, derr = decodeVecSection(sr)
-			return derr
-		})
-		return out, err
+		return decodeSection(r, sec, decodeVecSection)
 	}
 	if d.PEDescVecs, err = readVecs(secPEDesc); err != nil {
 		return nil, DeltaMeta{}, "", err
@@ -425,6 +420,7 @@ func LoadWithDeltas(path string) (*Snapshot, []*Delta, DeltaChain, Format, error
 	chain := DeltaChain{BaseSum: baseSum}
 	dir, base := filepath.Dir(path), filepath.Base(path)
 	var deltas []*Delta
+	journalStart := time.Now()
 	for seq := uint64(1); ; seq++ {
 		segPath := filepath.Join(dir, deltaSegmentName(base, seq))
 		d, meta, sum, size, derr := readDeltaSegment(segPath)
@@ -446,6 +442,7 @@ func LoadWithDeltas(path string) (*Snapshot, []*Delta, DeltaChain, Format, error
 		deltas = append(deltas, d)
 		chain.Seq, chain.LastSum, chain.Bytes = seq, sum, chain.Bytes+size
 	}
+	snap.LoadStages.Journal = time.Since(journalStart)
 	return snap, deltas, chain, format, nil
 }
 

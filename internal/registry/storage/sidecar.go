@@ -307,9 +307,9 @@ func encodeVecSection(w io.Writer, vecs map[int][]float32) error {
 	return nil
 }
 
-// decodeVecSection reads what encodeVecSection wrote.
-func decodeVecSection(r io.Reader) (map[int][]float32, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+// decodeVecSection reads what encodeVecSection wrote. It reads entry by
+// entry; readSection hands it a buffered reader.
+func decodeVecSection(br io.Reader) (map[int][]float32, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, err
@@ -329,6 +329,7 @@ func decodeVecSection(r io.Reader) (map[int][]float32, error) {
 	}
 	out := make(map[int][]float32, hint)
 	var rec [12]byte
+	var raw []byte // one vector's bytes, reused: every vector of a section has the same dim
 	for i := uint64(0); i < count; i++ {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
 			return nil, err
@@ -338,7 +339,11 @@ func decodeVecSection(r io.Reader) (map[int][]float32, error) {
 		if dim > 1<<20 {
 			return nil, fmt.Errorf("vector for id %d claims dim %d", id, dim)
 		}
-		raw := make([]byte, 4*dim)
+		if need := int(4 * dim); cap(raw) < need {
+			raw = make([]byte, need)
+		} else {
+			raw = raw[:need]
+		}
 		if _, err := io.ReadFull(br, raw); err != nil {
 			return nil, err
 		}
@@ -449,22 +454,41 @@ func readSectionTable(r io.ReaderAt, size int64, magic, trailerMagic string, ver
 	return sections, nil
 }
 
+// sectionBuffer is how much of a section one ReadAt fetches: both passes
+// of readSection cost a read per 64 KiB of payload, however small the
+// fields a decoder asks for.
+const sectionBuffer = 64 << 10
+
 // readSection validates a section's checksum and hands the payload to
 // decode. The checksum pass is separate from the decode pass on purpose:
 // the sum must cover exactly the payload bytes, independent of how much a
-// buffered decoder happens to consume.
+// buffered decoder happens to consume. Decoders read field by field — a
+// lexical snapshot two to eight bytes at a time — so both passes go
+// through one buffer: unbuffered, every field is a pread.
 func readSection(f io.ReaderAt, sec sidecarSection, decode func(io.Reader) error) error {
+	payload := func() io.Reader { return io.NewSectionReader(f, int64(sec.offset), int64(sec.length)) }
+	br := bufio.NewReaderSize(payload(), int(min(sec.length, sectionBuffer)))
 	h := fnv.New64a()
-	if _, err := io.Copy(h, io.NewSectionReader(f, int64(sec.offset), int64(sec.length))); err != nil {
+	if _, err := br.WriteTo(h); err != nil {
 		return fmt.Errorf("storage: sidecar section %s: %w", sec.name, err)
 	}
 	if h.Sum64() != sec.sum {
 		return fmt.Errorf("storage: sidecar section %s checksum mismatch (corrupt sidecar)", sec.name)
 	}
-	if err := decode(io.NewSectionReader(f, int64(sec.offset), int64(sec.length))); err != nil {
+	br.Reset(payload())
+	if err := decode(br); err != nil {
 		return fmt.Errorf("storage: sidecar section %s: %w", sec.name, err)
 	}
 	return nil
+}
+
+// decodeSection is readSection for a decoder that returns what it read.
+func decodeSection[T any](f io.ReaderAt, sec sidecarSection, decode func(io.Reader) (T, error)) (out T, err error) {
+	err = readSection(f, sec, func(r io.Reader) (derr error) {
+		out, derr = decode(r)
+		return derr
+	})
+	return out, err
 }
 
 // cleanSidecars removes stale content-named sidecars for base in dir,

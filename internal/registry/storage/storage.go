@@ -27,6 +27,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"time"
 
 	"laminar/internal/core"
 	"laminar/internal/index"
@@ -118,6 +119,22 @@ type Snapshot struct {
 	// usable snapshot exists (v1 files, pre-lexical v2 sidecars), in which
 	// case the serving layer re-tokenizes the records.
 	Lexical *LexicalSnapshots
+
+	// LoadStages reports where the Load that produced this snapshot spent
+	// its time. Observability only: Save ignores it.
+	LoadStages LoadStages
+}
+
+// LoadStages is the time one load spent per stage, summed over that
+// stage's decodes. Decodes of a v2 load run side by side on up to
+// GOMAXPROCS processors, so the stages can add up to more than the load's
+// wall-clock time. A v1 load reports nothing.
+type LoadStages struct {
+	Records         time.Duration // the JSON record stream
+	Vectors         time.Duration // pe-desc, pe-code, wf-desc
+	IndexSections   time.Duration // idx-* and q8-*
+	LexicalSections time.Duration // lex-*
+	Journal         time.Duration // reading and decoding delta segments
 }
 
 // Save writes the snapshot to path in the requested format, atomically: a

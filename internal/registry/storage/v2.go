@@ -7,6 +7,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
+	"time"
 
 	"laminar/internal/core"
 	"laminar/internal/index"
@@ -279,23 +282,90 @@ func decodeV2JSON(r io.Reader) (*Snapshot, *v2Header, error) {
 	return snap, hdr, nil
 }
 
-// loadV2 reads the JSON half record-by-record, then attaches the sidecar's
-// vectors and index snapshots. Vector sections are load-bearing data and
-// fail the load on corruption; index sections are derivable and degrade to
-// a rebuild instead.
+// loadV2 reads the JSON half record-by-record and attaches the sidecar's
+// vectors and index snapshots. The two halves decode side by side: the
+// header at the front of the JSON names the sidecar, so its sections start
+// decoding while the record arrays still stream. That early header read
+// only decides what starts early — the full parse stays the authority,
+// and a sidecar it does not name is never attached.
 func loadV2(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("storage: read snapshot: %w", err)
+	clock := &stageClock{}
+	// One token per running decode, the record stream included: the
+	// overlap never asks for more processors than the process may use.
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+
+	var early *v2Header
+	var side *sidecarContents
+	var sideErr error
+	var wg sync.WaitGroup
+	if hdr, err := readV2Header(path); err == nil && hdr.Sidecar != "" {
+		early = hdr
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			side, sideErr = loadSidecar(path, hdr, sem, clock)
+		}()
 	}
-	snap, hdr, err := func() (*Snapshot, *v2Header, error) {
+
+	var snap *Snapshot
+	var hdr *v2Header
+	var err error
+	sem <- struct{}{}
+	clock.time(&clock.stages.Records, func() {
+		var f *os.File
+		if f, err = os.Open(path); err != nil {
+			err = fmt.Errorf("storage: read snapshot: %w", err)
+			return
+		}
 		defer f.Close()
-		return decodeV2JSON(f)
-	}()
+		snap, hdr, err = decodeV2JSON(f)
+	})
+	<-sem
+	wg.Wait()
 	if err != nil {
 		return nil, err
 	}
+	if early == nil || early.Sidecar != hdr.Sidecar || early.SidecarSum != hdr.SidecarSum {
+		side, sideErr = loadSidecar(path, hdr, sem, clock)
+	}
+	if sideErr != nil {
+		return nil, sideErr
+	}
+	snap.PEDescVecs, snap.PECodeVecs, snap.WorkflowDescVecs = side.peDesc, side.peCode, side.wfDesc
+	snap.Indexes, snap.Lexical = side.indexes, side.lexical
+	snap.LoadStages = clock.stages
+	return snap, nil
+}
 
+// stageClock adds up, per stage, the time the decodes of one load ran.
+type stageClock struct {
+	mu     sync.Mutex
+	stages LoadStages
+}
+
+// time runs fn and adds how long it took to *stage (a field of c.stages).
+func (c *stageClock) time(stage *time.Duration, fn func()) {
+	start := time.Now()
+	fn()
+	took := time.Since(start)
+	c.mu.Lock()
+	*stage += took
+	c.mu.Unlock()
+}
+
+// sidecarContents is everything a sidecar holds, decoded.
+type sidecarContents struct {
+	peDesc, peCode, wfDesc map[int][]float32
+	indexes                *IndexSnapshots
+	lexical                *LexicalSnapshots
+}
+
+// loadSidecar opens the sidecar hdr names beside the JSON half at path,
+// checks that the two pair, and decodes its sections concurrently, each
+// holding a token of sem while it runs. Vector sections are load-bearing
+// data and fail the load on corruption; index and lexical sections are
+// derivable and degrade to a rebuild instead.
+func loadSidecar(path string, hdr *v2Header, sem chan struct{}, clock *stageClock) (*sidecarContents, error) {
 	vf, sections, err := openSidecar(filepath.Join(filepath.Dir(path), hdr.Sidecar))
 	if err != nil {
 		return nil, err
@@ -309,102 +379,99 @@ func loadV2(path string) (*Snapshot, error) {
 	for _, sec := range sections {
 		byName[sec.name] = sec
 	}
-	readVecs := func(name string) (map[int][]float32, error) {
-		sec, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("storage: sidecar is missing section %s", name)
-		}
-		var out map[int][]float32
-		err := readSection(vf, sec, func(r io.Reader) error {
-			var derr error
-			out, derr = decodeVecSection(r)
-			return derr
-		})
-		return out, err
+	var wg sync.WaitGroup
+	run := func(stage *time.Duration, fn func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			clock.time(stage, fn)
+		}()
 	}
-	if snap.PEDescVecs, err = readVecs(secPEDesc); err != nil {
-		return nil, err
-	}
-	if snap.PECodeVecs, err = readVecs(secPECode); err != nil {
-		return nil, err
-	}
-	if snap.WorkflowDescVecs, err = readVecs(secWFDesc); err != nil {
-		return nil, err
-	}
-	readIdx := func(name string) *index.Snapshot {
-		sec, ok := byName[name]
-		if !ok {
-			return nil
-		}
-		var out *index.Snapshot
-		if err := readSection(vf, sec, func(r io.Reader) error {
-			var derr error
-			out, derr = index.DecodeSnapshotBinary(r)
-			return derr
-		}); err != nil {
-			return nil // derivable: the serving layer rebuilds
-		}
-		return out
-	}
-	// The q8 companion sections are doubly derivable: skipped when absent
-	// (pre-quantization sidecar, or quantization off) and dropped when
-	// corrupt — the index rebuilds the companion from the float vectors it
-	// restores either way.
-	readQuant := func(name string, into *index.Snapshot) {
-		if into == nil {
-			return
-		}
-		sec, ok := byName[name]
-		if !ok {
-			return
-		}
-		var out *index.QuantizedSnapshot
-		if err := readSection(vf, sec, func(r io.Reader) error {
-			var derr error
-			out, derr = index.DecodeQuantizedBinary(r)
-			return derr
-		}); err != nil {
-			return // derivable: the index re-quantizes on restore
-		}
-		into.Quantized = out
-	}
-	idx := &IndexSnapshots{
-		Desc:     readIdx(secIdxDesc),
-		Code:     readIdx(secIdxCode),
-		Workflow: readIdx(secIdxWF),
-	}
-	readQuant(secQ8Desc, idx.Desc)
-	readQuant(secQ8Code, idx.Code)
-	readQuant(secQ8WF, idx.Workflow)
-	if idx.Desc != nil || idx.Code != nil || idx.Workflow != nil {
-		snap.Indexes = idx
-	}
+	out := &sidecarContents{}
+	stages := &clock.stages
+
 	// The lexical sections follow the index-section contract: absent
-	// (pre-lexical sidecar) or corrupt sections degrade to nil, and the
-	// serving layer re-tokenizes the records instead of failing the load.
-	readLex := func(name string) *lexical.Snapshot {
-		sec, ok := byName[name]
+	// (pre-lexical sidecar), corrupt or of another snapshot version, they
+	// degrade to nil, and the serving layer re-tokenizes the records
+	// instead of failing the load. lex-pe is the slowest section to
+	// decode, so it starts first.
+	lex := &LexicalSnapshots{}
+	for _, l := range []struct {
+		name string
+		into **lexical.Snapshot
+	}{{secLexPE, &lex.PE}, {secLexWF, &lex.Workflow}} {
+		sec, ok := byName[l.name]
 		if !ok {
-			return nil
+			continue
 		}
-		var out *lexical.Snapshot
-		if err := readSection(vf, sec, func(r io.Reader) error {
-			var derr error
-			out, derr = lexical.DecodeSnapshot(r)
-			return derr
-		}); err != nil {
-			return nil // derivable: the serving layer rebuilds
-		}
-		return out
+		run(&stages.LexicalSections, func() {
+			if snap, err := decodeSection(vf, sec, lexical.DecodeSnapshot); err == nil {
+				*l.into = snap
+			}
+		})
 	}
-	lex := &LexicalSnapshots{
-		PE:       readLex(secLexPE),
-		Workflow: readLex(secLexWF),
+
+	vecs := []struct {
+		name string
+		into *map[int][]float32
+		err  error
+	}{{name: secPEDesc, into: &out.peDesc}, {name: secPECode, into: &out.peCode}, {name: secWFDesc, into: &out.wfDesc}}
+	for i := range vecs {
+		v := &vecs[i]
+		sec, ok := byName[v.name]
+		if !ok {
+			v.err = fmt.Errorf("storage: sidecar is missing section %s", v.name)
+			continue
+		}
+		run(&stages.Vectors, func() {
+			*v.into, v.err = decodeSection(vf, sec, decodeVecSection)
+		})
+	}
+
+	// The q8 companion sections are doubly derivable: skipped when absent
+	// (pre-quantization sidecar, or quantization off) or when their index
+	// section is, and dropped when corrupt — the index rebuilds the
+	// companion from the float vectors it restores either way.
+	idx := &IndexSnapshots{}
+	for _, ix := range []struct {
+		name, qname string
+		into        **index.Snapshot
+	}{{secIdxDesc, secQ8Desc, &idx.Desc}, {secIdxCode, secQ8Code, &idx.Code}, {secIdxWF, secQ8WF, &idx.Workflow}} {
+		sec, ok := byName[ix.name]
+		if !ok {
+			continue
+		}
+		run(&stages.IndexSections, func() {
+			snap, err := decodeSection(vf, sec, index.DecodeSnapshotBinary)
+			if err != nil {
+				return // derivable: the serving layer rebuilds
+			}
+			*ix.into = snap
+			qsec, ok := byName[ix.qname]
+			if !ok {
+				return
+			}
+			if q, err := decodeSection(vf, qsec, index.DecodeQuantizedBinary); err == nil {
+				snap.Quantized = q
+			}
+		})
+	}
+	wg.Wait()
+
+	for _, v := range vecs {
+		if v.err != nil {
+			return nil, v.err
+		}
+	}
+	if idx.Desc != nil || idx.Code != nil || idx.Workflow != nil {
+		out.indexes = idx
 	}
 	if lex.PE != nil || lex.Workflow != nil {
-		snap.Lexical = lex
+		out.lexical = lex
 	}
-	return snap, nil
+	return out, nil
 }
 
 // readV2Header parses just the fixed header fields of a v2 file — enough

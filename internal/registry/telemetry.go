@@ -28,6 +28,8 @@ type storeMetrics struct {
 	loads       *telemetry.Counter
 	loadErrors  *telemetry.Counter
 	loadSeconds *telemetry.Histogram
+	// loadStageSeconds breaks the most recent load down by stage.
+	loadStageSeconds *telemetry.GaugeVec
 
 	// delta-journal instruments: incremental saves, their failures, the
 	// full-save compactions the policy triggers, and save latency.
@@ -76,6 +78,8 @@ func (s *Store) SetTelemetry(t *telemetry.Registry) {
 			"Registry snapshot loads that returned an error."),
 		loadSeconds: t.Histogram("laminar_registry_load_seconds",
 			"Wall-clock duration of successful registry loads.", telemetry.LatencyBuckets()),
+		loadStageSeconds: t.GaugeVec("laminar_registry_load_stage_seconds",
+			"Time the most recent registry load spent per stage; stages overlap, so they can sum past its wall-clock duration.", "stage"),
 		deltaSaves: t.Counter("laminar_registry_delta_saves_total",
 			"Successful incremental delta-journal saves."),
 		deltaSaveErrors: t.Counter("laminar_registry_delta_save_errors_total",
