@@ -11,13 +11,14 @@ GO ?= go
 # clock for packages with no shared state.
 RACE_PKGS = ./internal/registry/... ./internal/index ./internal/server ./internal/telemetry ./internal/dataflow ./internal/resp ./internal/redisserver ./internal/cluster ./internal/lexical ./internal/search ./internal/qcache
 
-# The hybrid-retrieval and persistence packages carry a statement-coverage
-# floor: their test walls (BM25/RRF properties, tokenizer and delta-segment
-# fuzz seeds, rerank goldens, crash-consistency torture tests) are the only
-# thing standing between a scoring or durability regression and silent data
-# loss, so `make verify` fails if coverage decays below this.
+# The hybrid-retrieval, persistence and wire-protocol packages carry a
+# statement-coverage floor: their test walls (BM25/RRF properties,
+# tokenizer, delta-segment and RESP-frame fuzz seeds, rerank goldens,
+# crash-consistency torture tests) are the only thing standing between a
+# scoring, durability or parsing regression and silent data loss or a
+# crashed shard, so `make verify` fails if coverage decays below this.
 COVER_FLOOR = 85
-COVER_PKGS = ./internal/lexical ./internal/search ./internal/registry/storage ./internal/qcache
+COVER_PKGS = ./internal/lexical ./internal/search ./internal/registry/storage ./internal/qcache ./internal/resp
 
 .PHONY: build test vet fmt-check docs bench race purego cover-check searchbench-smoke metrics-smoke flowbench-smoke clusterbench-smoke persistbench-smoke benchmark-smoke verify
 
@@ -59,7 +60,7 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 
 # cover-check enforces the COVER_FLOOR statement-coverage floor on the
-# hybrid-retrieval packages listed in COVER_PKGS.
+# packages listed in COVER_PKGS.
 cover-check:
 	@fail=0; for pkg in $(COVER_PKGS); do \
 		out="$$($(GO) test -cover $$pkg)" || { echo "$$out"; exit 1; }; \

@@ -31,7 +31,7 @@ func main() {
 	indexRecallTarget := flag.Float64("index-recall-target", 0, "adaptive probe recall target in (0,1] for -searchbench (0 = fixed nprobe)")
 	indexMaxProbe := flag.Int("index-max-probe", 0, "adaptive probe budget cap for -searchbench (0 = no cap)")
 	indexSpill := flag.Float64("index-spill", 0, "spilled-shard ratio for -searchbench (0 = off)")
-	indexOverfetch := flag.Int("index-overfetch", 0, "re-rank pool widening factor for -searchbench (<=1 = off)")
+	indexOverfetch := flag.Int("index-overfetch", 0, "quantized-pool widening factor for -searchbench (<=1 = off; needs -index-quantize)")
 	indexQuantize := flag.Bool("index-quantize", false, "int8-quantized candidate scoring for -searchbench (final top-k is always exact-rescored)")
 	vecBench := flag.Bool("vecbench", false, "run only the scoring-kernel throughput table (scalar vs vecmath, float32 vs int8) plus batched-vs-sequential search timing")
 	frontierSize := flag.Int("frontier-size", 10000, "corpus size for the -searchbench knob frontier (0 disables the sweep)")

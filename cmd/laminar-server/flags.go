@@ -81,12 +81,12 @@ func registerFlags(fs *flag.FlagSet) *serverConfig {
 	fs.Float64Var(&c.indexRecallTarget, "index-recall-target", 0, "per-query adaptive probing aimed at this recall in (0,1]: shards are visited best-first until the kth-best hit beats every unprobed shard's score bound (1.0 = provably exact, equals flat, unless -index-max-probe caps the scan); 0 keeps the fixed -index-nprobe policy")
 	fs.IntVar(&c.indexMaxProbe, "index-max-probe", 0, "cap on shards an adaptive query may scan, a worst-case latency budget that overrides the recall target including 1.0's exactness (0 = no cap)")
 	fs.Float64Var(&c.indexSpill, "index-spill", 0, "spilled (overlapping) shard assignment: also replicate a vector into its second-nearest shard when that centroid is within (1+ratio)x the distance of its nearest (0 = off; 0.25 is a good start); changes the trained structure, so a mismatched snapshot rebuilds")
-	fs.IntVar(&c.indexOverfetch, "index-overfetch", 0, "re-ranked candidate pool: probe for k*overfetch candidates with cheap partial scoring, then exact-rescore the pool before the top-k (<=1 = off; ignored at -index-recall-target 1.0)")
+	fs.IntVar(&c.indexOverfetch, "index-overfetch", 0, "with -index-quantize, widen the int8-scored candidate pool to k*overfetch before the exact rescore picks the top-k (<=1 = off; no effect without -index-quantize or at -index-recall-target 1.0)")
 	fs.BoolVar(&c.indexQuantize, "index-quantize", false, "int8 scalar quantization for the clustered candidate pass: maintain quantized companions of the stored vectors and score probed shards with cheap int8 dot products, always exact-rescoring the final top-k from float32 (off by default; bypassed at -index-recall-target 1.0, whose exactness needs exact scores)")
 	fs.DurationVar(&c.indexRetrainCooldown, "index-retrain-cooldown", 0, "rate limit on automatic clustered retrains: triggers within this window of the last launch coalesce into one deferred retrain, so a churn burst cannot retrain back-to-back (0 = no limit; tuning guidance in docs/operations.md)")
 	fs.StringVar(&c.searchMode, "search-mode", "ann", "default retrieval pipeline for semantic and code queries: ann (pure vector index), hybrid (ANN + BM25 lexical leg fused with reciprocal-rank fusion) or reranked (hybrid plus a cross-encoder rerank of the fused pool); requests override per query with the mode field (see docs/search.md)")
 	fs.IntVar(&c.cacheSize, "cache-size", 0, "generation-tagged query-result cache capacity in entries (0 = off): repeated semantic/code queries are served from cache until a registry mutation or index retrain invalidates them (see docs/search.md; laminar_cache_* metrics in docs/operations.md)")
-	fs.DurationVar(&c.clusterCacheTTL, "cluster-cache-ttl", 0, "staleness bound on a coordinator's fan-out cache — shard epochs are invisible to the coordinator, so its cached results expire by clock (0 = 2s default; negative disables the coordinator tier; needs -cache-size)")
+	fs.DurationVar(&c.clusterCacheTTL, "cluster-cache-ttl", 0, "staleness bound on a coordinator's query cache — shard epochs are invisible to the coordinator, so its cached results expire by clock (0 = 2s default; negative = a coordinator caches nothing; needs -cache-size)")
 	fs.IntVar(&c.deltaMaxSegments, "delta-max-segments", 0, "delta-journal segments allowed to accumulate before an incremental save compacts the chain into a full snapshot (0 = 64 default; see docs/storage.md)")
 	fs.Float64Var(&c.deltaCompactRatio, "delta-compact-ratio", 0, "compact the delta chain once its on-disk size or the dirty record fraction exceeds this ratio of the base snapshot, in (0,1] (0 = 0.5 default)")
 	fs.IntVar(&c.flowQueueCap, "flow-queue-cap", 0, "bound on each PE instance's input queue during workflow enactment; senders park when a downstream queue fills (0 = default 1024; see docs/dataflow.md)")

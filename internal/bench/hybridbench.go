@@ -106,20 +106,13 @@ func (c *hybridCorpus) queries(rng *rand.Rand, n int, text func(i int) string) [
 // evalPipeline runs both query sets through one pipeline and scores it.
 func (c *hybridCorpus) evalPipeline(pipeline string, identQ, descQ []hybridQCase) HybridQualityRow {
 	row := HybridQualityRow{Pipeline: pipeline}
+	mode := pipeline
+	if pipeline == "pure-ANN" {
+		mode = core.ModeANN
+	}
 	run := func(q hybridQCase) []core.SearchHit {
-		emb := search.EmbedDescription(q.text)
-		switch pipeline {
-		case "pure-ANN":
-			return c.store.SemanticSearch(c.userID, emb, 10)
-		case "hybrid":
-			return c.store.HybridSearch(c.userID, registry.HybridQuery{
-				Text: q.text, Embedding: emb, Type: core.SearchPEs, Limit: 10,
-			})
-		default: // reranked
-			return c.store.HybridSearch(c.userID, registry.HybridQuery{
-				Text: q.text, Embedding: emb, Type: core.SearchPEs, Limit: 10, Rerank: true,
-			})
-		}
+		return c.store.Search(c.userID, registry.Query{Mode: mode, Type: core.SearchPEs, Limit: 10},
+			registry.Input{Text: q.text, Embedding: search.EmbedDescription(q.text)})[0]
 	}
 	score := func(qs []hybridQCase, hit1, hit10 *float64) {
 		for _, q := range qs {

@@ -201,7 +201,7 @@ func RunPersistBench(size, queries int) (*PersistBenchResult, error) {
 	for i := 0; saving.Load(); i++ {
 		q := qs[i%len(qs)]
 		t0 := time.Now()
-		s.SemanticSearch(u.UserID, q, 10)
+		s.Search(u.UserID, registry.Query{Type: core.SearchPEs, Limit: 10}, registry.Input{Embedding: q})
 		d := time.Since(t0)
 		if !saving.Load() {
 			// This search outlived the Save; it does not count as mid-Save.

@@ -374,9 +374,7 @@ func frontierSettings() []FrontierRow {
 		{Label: "target=.80", Cfg: index.ClusteredConfig{RecallTarget: 0.80}},
 		{Label: "target=.90", Cfg: index.ClusteredConfig{RecallTarget: 0.90}},
 		{Label: "target=.90 spill=.10", Cfg: index.ClusteredConfig{RecallTarget: 0.90, SpillRatio: 0.1}},
-		{Label: "target=.90 spill=.10 of=8", Cfg: index.ClusteredConfig{RecallTarget: 0.90, SpillRatio: 0.1, Overfetch: 8}},
 		{Label: "target=.90 spill=.10 of=8 q8", Cfg: index.ClusteredConfig{RecallTarget: 0.90, SpillRatio: 0.1, Overfetch: 8, Quantize: true}},
-		{Label: "target=.95 spill=.10 of=8", Cfg: index.ClusteredConfig{RecallTarget: 0.95, SpillRatio: 0.1, Overfetch: 8}},
 		{Label: "target=.99", Cfg: index.ClusteredConfig{RecallTarget: 0.99}},
 		{Label: "target=1.0 (provably exact)", Cfg: index.ClusteredConfig{RecallTarget: 1.0}},
 	}
@@ -482,7 +480,7 @@ func RunSearchSmoke() (string, error) {
 	corpus, qs := GenPECorpus(size, queries)
 	flat := index.NewFlat()
 	fixed := index.NewClustered(index.ClusteredConfig{})
-	engine := index.NewClustered(index.ClusteredConfig{RecallTarget: 0.9, SpillRatio: 0.1, Overfetch: 8})
+	engine := index.NewClustered(index.ClusteredConfig{RecallTarget: 0.9, SpillRatio: 0.1})
 	quant := index.NewClustered(index.ClusteredConfig{RecallTarget: 0.9, SpillRatio: 0.1, Overfetch: 8, Quantize: true})
 	exact := index.NewClustered(index.ClusteredConfig{RecallTarget: 1.0})
 	exactQ := index.NewClustered(index.ClusteredConfig{RecallTarget: 1.0, Quantize: true})

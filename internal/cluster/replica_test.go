@@ -62,7 +62,7 @@ func TestOpenReplicaRestoresWithoutRetraining(t *testing.T) {
 	if !rep.ReadOnly() {
 		t.Fatal("replica is not read-only")
 	}
-	hits := rep.SemanticSearch(userID, q, 5)
+	hits := rep.Search(userID, registry.Query{Type: core.SearchPEs, Limit: 5}, registry.Input{Embedding: q})[0]
 	if len(hits) == 0 {
 		t.Fatal("restored replica answers no queries")
 	}
@@ -144,7 +144,7 @@ func TestOpenReplicaWithNilFactoryUsesFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits := rep.SemanticSearch(userID, q, 5); len(hits) == 0 {
+	if hits := rep.Search(userID, registry.Query{Type: core.SearchPEs, Limit: 5}, registry.Input{Embedding: q})[0]; len(hits) == 0 {
 		t.Fatal("flat replica answers no queries")
 	}
 }

@@ -141,18 +141,25 @@ type SearchResponse struct {
 }
 
 // SearchBatchRequest is the body of POST /registry/{user}/search/batch:
-// many semantic or code PE queries answered in one round trip, letting the
-// index amortize centroid probing and shard visits across the batch.
+// many semantic or code queries of one shape answered in one round trip.
+// It mirrors SearchRequest field for field, with lists where that has one
+// query, and every list it returns is what SearchRequest would have
+// returned for that query.
 type SearchBatchRequest struct {
-	// QueryType selects the index probed: semantic (description
-	// embeddings, the default) or code.
+	// QueryType is semantic (the default) or code.
 	QueryType QueryType `json:"queryType,omitempty"`
-	// Queries carries query texts, embedded server-side when
-	// QueryEmbeddings is absent.
+	// SearchType selects PEs (the default), workflows or both.
+	SearchType SearchType `json:"searchType,omitempty"`
+	// Mode selects the retrieval pipeline as SearchRequest.Mode does;
+	// empty defers to the server's configured default.
+	Mode string `json:"mode,omitempty"`
+	// Queries carries the query texts: embedded server-side where
+	// QueryEmbeddings has no vector for them, and the lexical and rerank
+	// input of the hybrid modes either way.
 	Queries []string `json:"queries,omitempty"`
 	// QueryEmbeddings carries client-computed embeddings (bi-encoder
-	// contract: the client embeds, the server compares). When present it
-	// takes precedence over Queries.
+	// contract: the client embeds, the server compares), index-aligned
+	// with Queries. When present it says how many queries the batch has.
 	QueryEmbeddings [][]float32 `json:"queryEmbeddings,omitempty"`
 	// Limit caps each query's hit list (0 = server default).
 	Limit int `json:"limit,omitempty"`
@@ -162,4 +169,7 @@ type SearchBatchRequest struct {
 // with the request's queries.
 type SearchBatchResponse struct {
 	Results [][]SearchHit `json:"results"`
+	// Degraded is SearchResponse.Degraded for the batch: at least one of
+	// the lists is a partial view.
+	Degraded bool `json:"degraded,omitempty"`
 }

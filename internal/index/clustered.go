@@ -46,12 +46,11 @@ type ClusteredConfig struct {
 	// times the distance to its nearest. Spilled shards overlap, so queries
 	// deduplicate; a full probe still returns exactly the Flat answer.
 	SpillRatio float64
-	// Overfetch, when > 1, widens the candidate pool to k*Overfetch during
-	// the shard scans using cheap partial scoring (a prefix of the vector
-	// dimensions), then exact-rescores the pool with full dot products
-	// before the final top-k. Disabled when RecallTarget >= 1 — exactness
-	// would be lost to the partial scores — and at dimensionalities too
-	// small for a prefix to be cheaper than the full product.
+	// Overfetch, when > 1, widens the quantized candidate pool to
+	// k*Overfetch, so the exact rescore picks the final top-k from more
+	// of the int8 pass's near-ties. It engages only with Quantize (and so
+	// never at RecallTarget >= 1): widening a pool that is already scored
+	// exactly changes no result and only costs a bigger heap.
 	Overfetch int
 	// Quantize, when true, maintains an int8 scalar-quantized companion
 	// of every stored vector (a vecmath.QuantizedSet) and scores the
@@ -81,12 +80,6 @@ const minTrainSize = 64
 
 // maxLloydIters bounds the k-means refinement loop per (re)train.
 const maxLloydIters = 8
-
-// minPartialDims is the smallest scoring prefix Overfetch will use: a
-// half-vector prefix below this carries too little signal to preselect the
-// pool reliably, so at fewer than 2*minPartialDims total dimensions partial
-// scoring is skipped and the widened pool is scored exactly.
-const minPartialDims = 64
 
 // trainedSet is one trained clustering: the centroids, the shard membership
 // of every assigned id (primary assignment plus optional spill replicas),
@@ -749,11 +742,23 @@ func distance(a, b []float32) float64 {
 	return vecmath.L2(a, b)
 }
 
-// dotPrefix scores only the first m dimensions — the cheap partial score
-// Overfetch uses to build its widened candidate pool before the exact
-// rescore.
-func dotPrefix(a, b []float32, m int) float64 {
-	return vecmath.DotPrefix(a, b, m)
+// candidatePoolLocked decides how a clustered scan scores and sizes its
+// candidate pool for a top-k query. The quantized pass engages whenever a
+// companion set exists and the proof rule is not in play: RecallTarget >= 1
+// promises byte-identical-to-Flat answers, which only exact scores can
+// honor. Overfetch widens only a quantized pool. k is a client-controlled
+// limit and travels here unclamped; a widened pool must saturate, never
+// overflow into TopK(0).
+func (c *Clustered) candidatePoolLocked(k int) (poolK int, quantized bool) {
+	quantized = c.qset != nil && c.cfg.RecallTarget < 1
+	of := c.cfg.Overfetch
+	switch {
+	case !quantized || of <= 1:
+		return k, quantized
+	case k > math.MaxInt/of:
+		return math.MaxInt, true
+	}
+	return k * of, true
 }
 
 // boundPad is the safety margin added to a shard's score upper bound. The
@@ -821,14 +826,14 @@ func patienceFor(target float64) int {
 //     stops the scan, so with no MaxProbe cap the answer equals Flat's
 //     exactly (the budget, when set, always wins over the target).
 //  2. Candidate scoring. Shard members are scored with the shared exact dot
-//     product, or — when Overfetch widens the pool — with a cheap
-//     prefix-dimension partial score, keeping the best k·Overfetch.
-//     Spilled (replicated) members are deduplicated as they are met.
+//     product, or — with Quantize — with the int8 companion's dot product,
+//     keeping the best k·Overfetch. Spilled (replicated) members are
+//     deduplicated as they are met.
 //  3. Overflow. The exact overflow buffer (inserts a live retrain has not
 //     folded in yet) is always scanned, so fresh vectors are immediately
 //     findable.
-//  4. Re-rank. A widened or partially-scored pool is exact-rescored with
-//     full dot products before the final top-k.
+//  4. Re-rank. A quantized pool is exact-rescored with full dot products
+//     before the final top-k.
 //
 // Because shards plus overflow cover every live vector (spill replicas are
 // deduplicated), probing every shard yields exactly the Flat result.
@@ -862,39 +867,12 @@ func (c *Clustered) searchLocked(query []float32, k int, filter Filter) []Candid
 	ts := c.trained
 	adaptive := c.cfg.RecallTarget > 0
 
-	// Pool sizing and scoring mode. Overfetch widens the pool and switches
-	// the scan to partial scoring; RecallTarget=1 turns it off (partial
-	// scores would break the exactness the zero-slack stop rule proves),
-	// as do dimensionalities where the prefix is no cheaper than the whole.
-	poolK := k
-	partialDims := 0
-	// The quantized pass engages whenever a companion set exists and the
-	// proof rule is not in play: RecallTarget >= 1 promises byte-identical-
-	// to-Flat answers, which only exact scores can honor. When it engages
-	// it replaces Overfetch's prefix partial scoring — int8 over the full
-	// width is both cheaper and better-conditioned than a float prefix.
-	quantized := c.qset != nil && c.cfg.RecallTarget < 1
-	if of := c.cfg.Overfetch; of > 1 && c.cfg.RecallTarget < 1 {
-		// k is a client-controlled limit and travels here unclamped; a
-		// widened pool must saturate, never overflow into TopK(0).
-		if k > math.MaxInt/of {
-			poolK = math.MaxInt
-		} else {
-			poolK = k * of
-		}
-		if pd := len(query) / 2; !quantized && pd >= minPartialDims && pd < len(query) {
-			partialDims = pd
-		}
-	}
+	poolK, quantized := c.candidatePoolLocked(k)
 	var qCodes []int8
 	var qScale float32
 	if quantized {
 		qCodes, qScale = vecmath.Quantize(query)
 	}
-	// approx marks a pool holding lossy scores (quantized or partial):
-	// the proof rule must not trust them and the final top-k must be
-	// exact-rescored.
-	approx := quantized || partialDims > 0
 
 	pool := NewTopK(poolK)
 	// gate tracks the kth-best score seen, feeding the adaptive stop rule;
@@ -923,20 +901,13 @@ func (c *Clustered) searchLocked(query []float32, k int, filter Filter) []Candid
 			return
 		}
 		scanned++
-		var s float64
-		switch {
-		case quantized:
-			if qs, qok := c.qset.Dot(qCodes, qScale, id); qok {
-				s = qs
-			} else {
-				// No companion for this id (e.g. a damaged persisted entry
-				// adopted partially): degrade to the exact float score,
-				// never to a miss.
-				s = dot(query, v)
-			}
-		case partialDims > 0:
-			s = dotPrefix(query, v, partialDims)
-		default:
+		// No companion for this id (e.g. a damaged persisted entry adopted
+		// partially) degrades to the exact float score, never to a miss.
+		s, qok := 0.0, false
+		if quantized {
+			s, qok = c.qset.Dot(qCodes, qScale, id)
+		}
+		if !qok {
 			s = dot(query, v)
 		}
 		cand := Candidate{ID: id, Score: s}
@@ -1025,11 +996,10 @@ func (c *Clustered) searchLocked(query []float32, k int, filter Filter) []Candid
 				// The proof rule: nothing in any remaining shard can reach
 				// the kth-best score, so stopping loses nothing. This is the
 				// only rule an exact (target 1.0) scan may stop on. It is
-				// unsound over approximate scores (a prefix dot can exceed
-				// the full dot the bounds cap, and a quantized score can
-				// drift either way), so it only runs when the gate holds
-				// exact scores.
-				if full && !approx && worst.Score > suffixBound[i] {
+				// unsound over quantized scores (they can drift either way
+				// of the full dot the bounds cap), so it only runs when the
+				// gate holds exact scores.
+				if full && !quantized && worst.Score > suffixBound[i] {
 					stopRule = StopProof
 					break
 				}
@@ -1037,7 +1007,7 @@ func (c *Clustered) searchLocked(query []float32, k int, filter Filter) []Candid
 				// contributed nothing to the top-k that the rest are
 				// unlikely to either. Patience scales with the target.
 				// (Unlike the proof rule this is score-scale-free — it only
-				// compares gate scores to each other — so partial scoring
+				// compares gate scores to each other — so quantized scoring
 				// does not affect its validity, just its sharpness.)
 				if !exact && full && unimproved >= patience {
 					stopRule = StopPatience
@@ -1066,15 +1036,16 @@ func (c *Clustered) searchLocked(query []float32, k int, filter Filter) []Candid
 		met.observeQuantized()
 	}
 
-	if poolK == k && !approx {
+	if !quantized {
 		return pool.Sorted()
 	}
-	// Re-rank: exact-rescore the widened or approximately-scored pool with
-	// full dot products. When the pool was already exactly scored this
-	// recomputes identical values, so enabling Overfetch never changes
-	// scores, only which candidates survive into the pool; a quantized pool
-	// always passes through here, which is what keeps quantization a
-	// candidate-selection heuristic rather than a scoring change.
+	return c.rescoreLocked(query, pool, k)
+}
+
+// rescoreLocked exact-rescores a quantized pool with full dot products and
+// keeps the top k — what keeps quantization a candidate-selection
+// heuristic rather than a scoring change.
+func (c *Clustered) rescoreLocked(query []float32, pool *TopK, k int) []Candidate {
 	final := NewTopK(k)
 	for _, cand := range pool.Sorted() {
 		if v, ok := c.vecs[cand.ID]; ok {
@@ -1155,30 +1126,19 @@ func (c *Clustered) searchBatchBruteLocked(queries [][]float32, k int, filter Fi
 // searchBatchFixedLocked is the fixed-NProbe batch path. Each query's
 // probe plan is computed as Search would, then inverted: for every probed
 // shard, the member vectors are fetched and spill-checked once and scored
-// for each query subscribed to that shard. Scoring mode (quantized /
-// partial / exact) and the final rescore follow searchLocked exactly.
+// for each query subscribed to that shard. Scoring mode (quantized or
+// exact) and the final rescore follow searchLocked exactly.
 func (c *Clustered) searchBatchFixedLocked(queries [][]float32, k int, filter Filter, out [][]Candidate) {
 	met := c.metrics
 	ts := c.trained
 
-	poolK := k
-	quantized := c.qset != nil && c.cfg.RecallTarget < 1
-	overfetched := false
-	if of := c.cfg.Overfetch; of > 1 && c.cfg.RecallTarget < 1 {
-		overfetched = true
-		if k > math.MaxInt/of {
-			poolK = math.MaxInt
-		} else {
-			poolK = k * of
-		}
-	}
+	poolK, quantized := c.candidatePoolLocked(k)
 
 	type qstate struct {
 		query   []float32
 		pool    *TopK
 		seen    map[int]bool // lazy spill dedup, as in searchLocked
 		scanned int
-		partial int
 		qcodes  []int8
 		qscale  float32
 	}
@@ -1189,10 +1149,6 @@ func (c *Clustered) searchBatchFixedLocked(queries [][]float32, k int, filter Fi
 		st.pool = NewTopK(poolK)
 		if quantized {
 			st.qcodes, st.qscale = vecmath.Quantize(q)
-		} else if overfetched {
-			if pd := len(q) / 2; pd >= minPartialDims && pd < len(q) {
-				st.partial = pd
-			}
 		}
 	}
 
@@ -1220,17 +1176,11 @@ func (c *Clustered) searchBatchFixedLocked(queries [][]float32, k int, filter Fi
 			st.seen[id] = true
 		}
 		st.scanned++
-		var s float64
-		switch {
-		case quantized:
-			if qs, qok := c.qset.Dot(st.qcodes, st.qscale, id); qok {
-				s = qs
-			} else {
-				s = dot(st.query, v)
-			}
-		case st.partial > 0:
-			s = dotPrefix(st.query, v, st.partial)
-		default:
+		s, qok := 0.0, false
+		if quantized {
+			s, qok = c.qset.Dot(st.qcodes, st.qscale, id)
+		}
+		if !qok {
 			s = dot(st.query, v)
 		}
 		st.pool.Push(Candidate{ID: id, Score: s})
@@ -1269,21 +1219,12 @@ func (c *Clustered) searchBatchFixedLocked(queries [][]float32, k int, filter Fi
 	for qi := range states {
 		st := &states[qi]
 		met.observeQuery(nprobe, st.scanned, StopFixed)
-		if quantized {
-			met.observeQuantized()
-		}
-		approx := quantized || st.partial > 0
-		if poolK == k && !approx {
+		if !quantized {
 			out[qi] = st.pool.Sorted()
 			continue
 		}
-		final := NewTopK(k)
-		for _, cand := range st.pool.Sorted() {
-			if v, ok := c.vecs[cand.ID]; ok {
-				final.Push(Candidate{ID: cand.ID, Score: dot(st.query, v)})
-			}
-		}
-		out[qi] = final.Sorted()
+		met.observeQuantized()
+		out[qi] = c.rescoreLocked(st.query, st.pool, k)
 	}
 }
 

@@ -36,10 +36,10 @@
 //     into their second-nearest shard at assignment time, so points that
 //     straddle a centroid boundary stop being missed. Shards then overlap;
 //     queries deduplicate replicas.
-//   - Widened-pool re-ranking (Overfetch): shard scans collect k·Overfetch
-//     candidates with a cheap prefix-dimension partial score, then the pool
-//     is exact-rescored before the final top-k — more of the scan budget
-//     turns into candidates instead of full-width dot products.
+//   - Quantized candidate pass (Quantize/Overfetch): shard scans score
+//     members with int8 dot products, collect k·Overfetch candidates, and
+//     the pool is exact-rescored before the final top-k — the scan budget
+//     buys candidates instead of full-width float products.
 //
 // Indexes are maintained incrementally: the registry upserts/deletes
 // vectors as records are registered and removed, so queries never need to
@@ -117,10 +117,10 @@ type BatchSearcher interface {
 }
 
 // SearchBatchOf answers every query against idx, using the index's native
-// batched execution when it implements BatchSearcher and falling back to
-// sequential Search calls otherwise.
+// batched execution when it implements BatchSearcher and there is more
+// than one query to amortize over, and sequential Search calls otherwise.
 func SearchBatchOf(idx VectorIndex, queries [][]float32, k int, filter Filter) [][]Candidate {
-	if b, ok := idx.(BatchSearcher); ok {
+	if b, ok := idx.(BatchSearcher); ok && len(queries) > 1 {
 		return b.SearchBatch(queries, k, filter)
 	}
 	out := make([][]Candidate, len(queries))

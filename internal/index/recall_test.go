@@ -71,7 +71,7 @@ func recallAt10(exact, approx VectorIndex, qs [][]float32) float64 {
 
 // TestSpilledAdaptiveRecallBeatsFixed is the recall-floor property of the
 // recall engine: on a seeded topic-clustered corpus, adaptive probing with
-// spilled shards and a re-ranked widened pool must reach recall@10 at least
+// spilled shards must reach recall@10 at least
 // as high as the historic fixed-nprobe baseline (same centroid count, auto
 // probe count), and clear the 0.9 floor the ROADMAP targets.
 func TestSpilledAdaptiveRecallBeatsFixed(t *testing.T) {
@@ -82,7 +82,6 @@ func TestSpilledAdaptiveRecallBeatsFixed(t *testing.T) {
 		engine := NewClustered(ClusteredConfig{
 			RecallTarget: 0.95,
 			SpillRatio:   0.25,
-			Overfetch:    4,
 		})
 		for i, v := range corpus {
 			flat.Upsert(i+1, v)
@@ -103,8 +102,37 @@ func TestSpilledAdaptiveRecallBeatsFixed(t *testing.T) {
 	}
 }
 
+// TestOverfetchNeedsQuantize: Overfetch widens only a quantized pool. On
+// exact scores a wider pool selects the same top-k, so without Quantize
+// the knob must change nothing — at 128 dimensions too, where a
+// half-width prefix score used to stand in for the exact one.
+func TestOverfetchNeedsQuantize(t *testing.T) {
+	corpus, qs := topicCorpus(7, 800, 128, 20, 0.2)
+	for _, base := range []ClusteredConfig{{NProbe: 3}, {RecallTarget: 0.9, SpillRatio: 0.2}} {
+		wide := base
+		wide.Overfetch = 8
+		plain, widened := NewClustered(base), NewClustered(wide)
+		for i, v := range corpus {
+			plain.Upsert(i+1, v)
+			widened.Upsert(i+1, v)
+		}
+		plain.TrainNow()
+		widened.TrainNow()
+		for qi, q := range qs {
+			got, want := widened.Search(q, 10, nil), plain.Search(q, 10, nil)
+			if fmt.Sprintf("%v", got) != fmt.Sprintf("%v", want) {
+				t.Fatalf("%+v query %d: Overfetch changed an exact-scored result:\n got %v\nwant %v", base, qi, got, want)
+			}
+			batch := widened.SearchBatch([][]float32{q, q}, 10, nil)
+			if fmt.Sprintf("%v", batch[1]) != fmt.Sprintf("%v", want) {
+				t.Fatalf("%+v query %d: batched Overfetch changed an exact-scored result", base, qi)
+			}
+		}
+	}
+}
+
 // TestRecallTargetOneIsExact pins the degeneration contract: RecallTarget
-// 1.0 disables the slack (and partial scoring), so the adaptive stop rule
+// 1.0 disables the slack (and the quantized pass), so the adaptive stop rule
 // only fires when no unprobed shard can possibly improve the result — the
 // search must equal Flat byte-for-byte, spill replicas, deletions and
 // re-upserts notwithstanding.

@@ -97,7 +97,7 @@ func TestChurnWallDeltaReloadMatchesFullSave(t *testing.T) {
 						t.Fatalf("op %d workflow: %v", op, err)
 					}
 				case 5: // concurrent-feeling reads between mutations
-					s.SemanticSearch(u.UserID, churnVec(rng), 5)
+					pesByDesc(s, u.UserID, churnVec(rng), 5)
 				case 6, 7: // delta save mid-stream
 					if err := s.SaveDelta(path); err != nil {
 						t.Fatalf("op %d delta save: %v", op, err)
@@ -141,8 +141,8 @@ func TestChurnWallDeltaReloadMatchesFullSave(t *testing.T) {
 			// answer the same queries identically (flat index, exact scan).
 			for q := 0; q < 10; q++ {
 				vec := churnVec(rng)
-				a := viaDeltas.SemanticSearch(u.UserID, vec, 5)
-				b := viaFull.SemanticSearch(u.UserID, vec, 5)
+				a := pesByDesc(viaDeltas, u.UserID, vec, 5)
+				b := pesByDesc(viaFull, u.UserID, vec, 5)
 				if len(a) != len(b) {
 					t.Fatalf("query %d: %d vs %d hits", q, len(a), len(b))
 				}

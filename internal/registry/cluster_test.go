@@ -137,7 +137,7 @@ func TestReadOnlyStoreRejectsEveryWrite(t *testing.T) {
 	if got, err := s.PEByID(u.UserID, pe.PEID); err != nil || got.PEName != "P1" {
 		t.Errorf("read on a read-only store: %v %v", got, err)
 	}
-	if hits := s.SemanticSearch(u.UserID, []float32{4, 5, 6}, 5); len(hits) == 0 {
+	if hits := pesByDesc(s, u.UserID, []float32{4, 5, 6}, 5); len(hits) == 0 {
 		t.Error("search on a read-only store returned nothing")
 	}
 

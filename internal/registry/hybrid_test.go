@@ -1,10 +1,13 @@
 package registry
 
 import (
+	"fmt"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"laminar/internal/core"
+	"laminar/internal/index"
 	"laminar/internal/search"
 )
 
@@ -218,5 +221,92 @@ func TestLexicalSnapshotRoundTripThroughSave(t *testing.T) {
 	}
 	if docs, terms := fresh.LexicalStats(); docs != 2 || terms == 0 {
 		t.Fatalf("restored lexical stats docs=%d terms=%d", docs, terms)
+	}
+}
+
+// TestHugeLimitReturnsTheWholeCorpus: the limit travels from the request
+// body unclamped, and the hybrid modes widen it fourfold — the widening
+// must saturate. Before it did, limit 1<<61 wrapped the pool to 0 (no
+// hits) and 1<<62+1 to 4, while ann mode returned the whole visible
+// corpus for the same request.
+func TestHugeLimitReturnsTheWholeCorpus(t *testing.T) {
+	s := NewStore()
+	u := newUser(t, s, "huge")
+	const corpus = 5
+	for i := 0; i < corpus; i++ {
+		addLexPE(t, s, u.UserID, fmt.Sprintf("windowPE%d", i),
+			fmt.Sprintf("aggregates window counts, variant %d", i), "def agg_window(s): pass")
+	}
+	text := "aggregates window counts"
+	in := Input{Text: text, Embedding: search.EmbedDescription(text)}
+	for _, limit := range []int{10, 1 << 61, 1 << 62, 1<<62 + 1} {
+		for _, mode := range []string{core.ModeANN, core.ModeHybrid, core.ModeReranked} {
+			hits := s.Search(u.UserID, Query{Mode: mode, Type: core.SearchPEs, Limit: limit}, in)[0]
+			if len(hits) != corpus {
+				t.Errorf("limit %d, mode %s: %d hits, want the %d visible PEs", limit, mode, len(hits), corpus)
+			}
+		}
+	}
+}
+
+// TestSearchBatchMatchesSingle: N inputs in one Search call return what N
+// calls of one input return, in every mode, for every target, with inputs
+// that lack a leg mixed in — batching amortizes locks and probes, it never
+// changes an answer.
+func TestSearchBatchMatchesSingle(t *testing.T) {
+	s := NewStore()
+	s.ConfigureIndex(func() index.VectorIndex {
+		return index.NewClustered(index.ClusteredConfig{NProbe: 2})
+	})
+	u := newUser(t, s, "batch")
+	for i := 0; i < 120; i++ { // past the clustered index's training threshold
+		addLexPE(t, s, u.UserID, fmt.Sprintf("stage_%03d", i),
+			fmt.Sprintf("stage %d of the %s pipeline", i, []string{"photon", "seismic", "genome"}[i%3]),
+			fmt.Sprintf("def stage_%03d(x): return x + %d", i, i))
+	}
+	for i := 0; i < 6; i++ {
+		desc := fmt.Sprintf("workflow %d over the %s pipeline", i, []string{"photon", "seismic"}[i%2])
+		if _, err := s.AddWorkflow(u.UserID, core.AddWorkflowRequest{
+			WorkflowName: fmt.Sprintf("flow%d", i), EntryPoint: "main", Description: desc,
+			WorkflowCode: "w", DescEmbedding: search.EmbedDescription(desc),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.WaitIndexReady()
+	texts := []string{"photon pipeline stage", "stage_042", "seismic workflow", "genome"}
+	for _, code := range []bool{false, true} {
+		inputs := make([]Input, 0, len(texts)+2)
+		for _, text := range texts {
+			emb := search.EmbedDescription(text)
+			if code {
+				emb = search.EmbedCode(text)
+			}
+			inputs = append(inputs, Input{Text: text, Embedding: emb})
+		}
+		inputs = append(inputs, Input{Text: "stage_007"}, Input{Embedding: inputs[0].Embedding})
+		for _, mode := range []string{core.ModeANN, core.ModeHybrid, core.ModeReranked} {
+			for _, typ := range []core.SearchType{core.SearchPEs, core.SearchWorkflows, core.SearchBoth} {
+				q := Query{Mode: mode, Code: code, Type: typ, Limit: 5}
+				batch := s.Search(u.UserID, q, inputs...)
+				if len(batch) != len(inputs) {
+					t.Fatalf("%+v: %d result lists for %d inputs", q, len(batch), len(inputs))
+				}
+				answered := 0
+				for i, in := range inputs {
+					single := s.Search(u.UserID, q, in)[0]
+					if !reflect.DeepEqual(batch[i], single) {
+						t.Fatalf("%+v input %d: batch diverged from single:\n got %+v\nwant %+v", q, i, batch[i], single)
+					}
+					answered += len(single)
+				}
+				if empty := code && typ == core.SearchWorkflows; (answered == 0) != empty {
+					t.Fatalf("%+v: %d hits across the batch (workflows carry no code embeddings: want none only there)", q, answered)
+				}
+			}
+		}
+	}
+	if got := s.Search(u.UserID, Query{}); len(got) != 0 {
+		t.Fatalf("a call without inputs returned %+v", got)
 	}
 }

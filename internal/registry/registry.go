@@ -16,7 +16,15 @@
 // descriptions, PE code, and workflow descriptions — and persists their
 // trained structure alongside its records, so Load restores a trained
 // index with no k-means retrain whenever the snapshot still matches the
-// records.
+// records. Two BM25 lexical indexes (PEs, workflows) are maintained and
+// persisted beside them.
+//
+// Ranked retrieval has one entry, Store.Search (search.go): an optional
+// vector leg and an optional lexical leg, reciprocal-rank fusion of the
+// two, an optional cross-encoder rerank — which of them run is the
+// Query's Mode — for one Input or a batch that shares the locks and the
+// index probes. CompletionSearch, SemanticSearchBoth and HybridSearch are
+// one-line calls into it, kept for the repo's benchmark.
 //
 // The paper hosts the registry on a remote web-based MySQL service; this
 // implementation is an embedded, durable store with a configurable

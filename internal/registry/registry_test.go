@@ -13,6 +13,16 @@ import (
 	"laminar/internal/search"
 )
 
+// pesByDesc and wfsByDesc run one ModeANN description query through
+// Store.Search against the user's PEs / workflows.
+func pesByDesc(s *Store, userID int, emb []float32, limit int) []core.SearchHit {
+	return s.Search(userID, Query{Type: core.SearchPEs, Limit: limit}, Input{Embedding: emb})[0]
+}
+
+func wfsByDesc(s *Store, userID int, emb []float32, limit int) []core.SearchHit {
+	return s.Search(userID, Query{Type: core.SearchWorkflows, Limit: limit}, Input{Embedding: emb})[0]
+}
+
 func newUser(t *testing.T, s *Store, name string) *core.UserRecord {
 	t.Helper()
 	u, err := s.RegisterUser(name, "pw-"+name)
@@ -299,7 +309,7 @@ func TestIndexMaintainedIncrementally(t *testing.T) {
 	a := addEmbeddedPE(t, s, u.UserID, "A", "alpha", []float32{1, 0})
 	b := addEmbeddedPE(t, s, u.UserID, "B", "beta", []float32{0, 1})
 
-	hits := s.SemanticSearch(u.UserID, []float32{1, 0}, 10)
+	hits := pesByDesc(s, u.UserID, []float32{1, 0}, 10)
 	if len(hits) != 2 || hits[0].ID != a.PEID || hits[1].ID != b.PEID {
 		t.Fatalf("hits: %+v", hits)
 	}
@@ -307,7 +317,7 @@ func TestIndexMaintainedIncrementally(t *testing.T) {
 	if err := s.RemovePE(u.UserID, a.PEID); err != nil {
 		t.Fatal(err)
 	}
-	hits = s.SemanticSearch(u.UserID, []float32{1, 0}, 10)
+	hits = pesByDesc(s, u.UserID, []float32{1, 0}, 10)
 	if len(hits) != 1 || hits[0].ID != b.PEID {
 		t.Fatalf("after remove: %+v", hits)
 	}
@@ -322,10 +332,10 @@ func TestIndexSearchRespectsOwnership(t *testing.T) {
 	u2 := newUser(t, s, "other")
 	addEmbeddedPE(t, s, u1.UserID, "Mine", "mine", []float32{1, 0})
 
-	if hits := s.SemanticSearch(u2.UserID, []float32{1, 0}, 10); len(hits) != 0 {
+	if hits := pesByDesc(s, u2.UserID, []float32{1, 0}, 10); len(hits) != 0 {
 		t.Fatalf("other user sees foreign PE: %+v", hits)
 	}
-	if hits := s.SemanticSearch(u1.UserID, []float32{1, 0}, 10); len(hits) != 1 {
+	if hits := pesByDesc(s, u1.UserID, []float32{1, 0}, 10); len(hits) != 1 {
 		t.Fatalf("owner search: %+v", hits)
 	}
 }
@@ -344,7 +354,7 @@ func TestLoadRebuildsIndexes(t *testing.T) {
 	if err := fresh.Load(path); err != nil {
 		t.Fatal(err)
 	}
-	hits := fresh.SemanticSearch(u.UserID, []float32{1, 0}, 10)
+	hits := pesByDesc(fresh, u.UserID, []float32{1, 0}, 10)
 	if len(hits) != 1 || hits[0].Name != "A" {
 		t.Fatalf("index not rebuilt after Load: %+v", hits)
 	}
@@ -368,7 +378,7 @@ func TestWorkflowSemanticSearch(t *testing.T) {
 	w1 := addEmbeddedWorkflow(t, s, u.UserID, "seismic", []float32{1, 0})
 	w2 := addEmbeddedWorkflow(t, s, u.UserID, "astro", []float32{0, 1})
 
-	hits := s.SemanticSearchWorkflows(u.UserID, []float32{1, 0}, 10)
+	hits := wfsByDesc(s, u.UserID, []float32{1, 0}, 10)
 	if len(hits) != 2 || hits[0].ID != w1.WorkflowID || hits[0].Kind != "workflow" {
 		t.Fatalf("workflow hits: %+v", hits)
 	}
@@ -376,13 +386,13 @@ func TestWorkflowSemanticSearch(t *testing.T) {
 	if err := s.RemoveWorkflow(u.UserID, w1.WorkflowID); err != nil {
 		t.Fatal(err)
 	}
-	hits = s.SemanticSearchWorkflows(u.UserID, []float32{1, 0}, 10)
+	hits = wfsByDesc(s, u.UserID, []float32{1, 0}, 10)
 	if len(hits) != 1 || hits[0].ID != w2.WorkflowID {
 		t.Fatalf("after remove: %+v", hits)
 	}
 	// ownership filtering
 	other := newUser(t, s, "other")
-	if hits := s.SemanticSearchWorkflows(other.UserID, []float32{1, 0}, 10); len(hits) != 0 {
+	if hits := wfsByDesc(s, other.UserID, []float32{1, 0}, 10); len(hits) != 0 {
 		t.Fatalf("foreign workflows visible: %+v", hits)
 	}
 }
@@ -396,7 +406,7 @@ func TestPEReRegistrationAdoptsEmbeddings(t *testing.T) {
 	if _, err := s.AddPE(u.UserID, core.AddPERequest{PEName: "Legacy", PECode: "c"}); err != nil {
 		t.Fatal(err)
 	}
-	if hits := s.SemanticSearch(u.UserID, []float32{1, 0}, 10); len(hits) != 0 {
+	if hits := pesByDesc(s, u.UserID, []float32{1, 0}, 10); len(hits) != 0 {
 		t.Fatalf("embedding-less PE searchable: %+v", hits)
 	}
 	pe, err := s.AddPE(u.UserID, core.AddPERequest{
@@ -406,7 +416,7 @@ func TestPEReRegistrationAdoptsEmbeddings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits := s.SemanticSearch(u.UserID, []float32{1, 0}, 10); len(hits) != 1 || hits[0].ID != pe.PEID {
+	if hits := pesByDesc(s, u.UserID, []float32{1, 0}, 10); len(hits) != 1 || hits[0].ID != pe.PEID {
 		t.Fatalf("adopted desc embedding not indexed: %+v", hits)
 	}
 	if hits := s.CompletionSearch(u.UserID, []float32{0, 1}, 10); len(hits) != 1 || hits[0].ID != pe.PEID {
@@ -426,7 +436,7 @@ func TestWorkflowReRegistrationAdoptsEmbedding(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if hits := s.SemanticSearchWorkflows(u.UserID, []float32{1, 0}, 10); len(hits) != 0 {
+	if hits := wfsByDesc(s, u.UserID, []float32{1, 0}, 10); len(hits) != 0 {
 		t.Fatalf("embedding-less workflow searchable: %+v", hits)
 	}
 	// Same entry point re-registered by a newer client carrying one.
@@ -436,7 +446,7 @@ func TestWorkflowReRegistrationAdoptsEmbedding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits := s.SemanticSearchWorkflows(u.UserID, []float32{1, 0}, 10)
+	hits := wfsByDesc(s, u.UserID, []float32{1, 0}, 10)
 	if len(hits) != 1 || hits[0].ID != wf.WorkflowID {
 		t.Fatalf("adopted embedding not indexed: %+v", hits)
 	}
@@ -454,8 +464,8 @@ func TestSemanticSearchBothSingleRoundTrip(t *testing.T) {
 
 	query := []float32{1, 0}
 	want := search.MergeRanked(
-		s.SemanticSearch(u.UserID, query, 10),
-		s.SemanticSearchWorkflows(u.UserID, query, 10), 10)
+		pesByDesc(s, u.UserID, query, 10),
+		wfsByDesc(s, u.UserID, query, 10), 10)
 	got := s.SemanticSearchBoth(u.UserID, query, 10)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("SemanticSearchBoth diverged from merged parts:\n got %+v\nwant %+v", got, want)
@@ -479,14 +489,14 @@ func TestConfigureIndexPreservesResults(t *testing.T) {
 			[]float32{float32(1 - angle), float32(angle)})
 	}
 	query := []float32{0.7, 0.3}
-	flatHits := s.SemanticSearch(u.UserID, query, 10)
+	flatHits := pesByDesc(s, u.UserID, query, 10)
 	s.ConfigureIndex(func() index.VectorIndex {
 		return index.NewClustered(index.ClusteredConfig{Centroids: 4, NProbe: 4})
 	})
 	if s.IndexName() != "clustered" {
 		t.Fatalf("index name: %s", s.IndexName())
 	}
-	clusHits := s.SemanticSearch(u.UserID, query, 10)
+	clusHits := pesByDesc(s, u.UserID, query, 10)
 	if !reflect.DeepEqual(flatHits, clusHits) {
 		t.Fatalf("full-probe clustered diverged from flat:\n flat %+v\n clus %+v", flatHits, clusHits)
 	}
@@ -530,9 +540,9 @@ func TestSaveLoadRestoresClusteredWithoutRetrain(t *testing.T) {
 	u := populate(t, s, 200)
 	s.WaitIndexReady()
 	query := []float32{0.7, 0.3, 0.1}
-	wantPE := s.SemanticSearch(u.UserID, query, 10)
+	wantPE := pesByDesc(s, u.UserID, query, 10)
 	wantCode := s.CompletionSearch(u.UserID, query, 10)
-	wantWF := s.SemanticSearchWorkflows(u.UserID, query, 10)
+	wantWF := wfsByDesc(s, u.UserID, query, 10)
 	if err := s.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -556,13 +566,13 @@ func TestSaveLoadRestoresClusteredWithoutRetrain(t *testing.T) {
 			t.Fatalf("%s index retrained %d times on restore, want 0", name, c.Retrains())
 		}
 	}
-	if got := fresh.SemanticSearch(u.UserID, query, 10); !reflect.DeepEqual(got, wantPE) {
+	if got := pesByDesc(fresh, u.UserID, query, 10); !reflect.DeepEqual(got, wantPE) {
 		t.Fatalf("restored PE search diverged:\n got %+v\nwant %+v", got, wantPE)
 	}
 	if got := fresh.CompletionSearch(u.UserID, query, 10); !reflect.DeepEqual(got, wantCode) {
 		t.Fatalf("restored code search diverged:\n got %+v\nwant %+v", got, wantCode)
 	}
-	if got := fresh.SemanticSearchWorkflows(u.UserID, query, 10); !reflect.DeepEqual(got, wantWF) {
+	if got := wfsByDesc(fresh, u.UserID, query, 10); !reflect.DeepEqual(got, wantWF) {
 		t.Fatalf("restored workflow search diverged:\n got %+v\nwant %+v", got, wantWF)
 	}
 }
@@ -579,7 +589,7 @@ func TestConfigureIndexAfterLoadRestores(t *testing.T) {
 	u := populate(t, s, 150)
 	s.WaitIndexReady()
 	query := []float32{0.2, -0.9, 0.4}
-	want := s.SemanticSearch(u.UserID, query, 10)
+	want := pesByDesc(s, u.UserID, query, 10)
 	if err := s.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -598,7 +608,7 @@ func TestConfigureIndexAfterLoadRestores(t *testing.T) {
 	if c := fresh.descIndex.(*index.Clustered); c.Retrains() != 0 {
 		t.Fatalf("restore retrained %d times", c.Retrains())
 	}
-	if got := fresh.SemanticSearch(u.UserID, query, 10); !reflect.DeepEqual(got, want) {
+	if got := pesByDesc(fresh, u.UserID, query, 10); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored search diverged:\n got %+v\nwant %+v", got, want)
 	}
 }
@@ -620,7 +630,7 @@ func TestLoadFlatRestoreSkipsRebuild(t *testing.T) {
 		t.Fatal("flat snapshot did not restore cleanly")
 	}
 	query := []float32{1, 0, 0}
-	if got, want := fresh.SemanticSearch(u.UserID, query, 5), s.SemanticSearch(u.UserID, query, 5); !reflect.DeepEqual(got, want) {
+	if got, want := pesByDesc(fresh, u.UserID, query, 5), pesByDesc(s, u.UserID, query, 5); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored flat search diverged:\n got %+v\nwant %+v", got, want)
 	}
 }
@@ -664,7 +674,7 @@ func TestLoadStaleSnapshotFallsBackToRebuild(t *testing.T) {
 	}
 	fresh.WaitIndexReady()
 	// The rebuilt index serves the edited embedding.
-	hits := fresh.SemanticSearch(u.UserID, []float32{0, 0, 1}, 1)
+	hits := pesByDesc(fresh, u.UserID, []float32{0, 0, 1}, 1)
 	if len(hits) != 1 || hits[0].ID != editedID {
 		t.Fatalf("rebuild did not pick up edited records: %+v", hits)
 	}
@@ -694,8 +704,8 @@ func TestV1ToV2MigrationRoundTrip(t *testing.T) {
 		t.Fatalf("v1 file carries %d PEs", len(f.PEs))
 	}
 	query := []float32{0.6, -0.4, 0.2}
-	wantPE := s.SemanticSearch(u.UserID, query, 10)
-	wantWF := s.SemanticSearchWorkflows(u.UserID, query, 10)
+	wantPE := pesByDesc(s, u.UserID, query, 10)
+	wantWF := wfsByDesc(s, u.UserID, query, 10)
 
 	// Load the v1 file into a default-format (v2) store: lossless, indexes
 	// restored with zero k-means.
@@ -710,7 +720,7 @@ func TestV1ToV2MigrationRoundTrip(t *testing.T) {
 	if c := mid.descIndex.(*index.Clustered); c.Retrains() != 0 {
 		t.Fatalf("v1 load retrained %d times", c.Retrains())
 	}
-	if got := mid.SemanticSearch(u.UserID, query, 10); !reflect.DeepEqual(got, wantPE) {
+	if got := pesByDesc(mid, u.UserID, query, 10); !reflect.DeepEqual(got, wantPE) {
 		t.Fatalf("v1 load diverged:\n got %+v\nwant %+v", got, wantPE)
 	}
 
@@ -736,10 +746,10 @@ func TestV1ToV2MigrationRoundTrip(t *testing.T) {
 	if got := len(fresh.PEsForUser(u.UserID)); got != 200 {
 		t.Fatalf("records lost in migration: %d PEs", got)
 	}
-	if got := fresh.SemanticSearch(u.UserID, query, 10); !reflect.DeepEqual(got, wantPE) {
+	if got := pesByDesc(fresh, u.UserID, query, 10); !reflect.DeepEqual(got, wantPE) {
 		t.Fatalf("migrated PE search diverged:\n got %+v\nwant %+v", got, wantPE)
 	}
-	if got := fresh.SemanticSearchWorkflows(u.UserID, query, 10); !reflect.DeepEqual(got, wantWF) {
+	if got := wfsByDesc(fresh, u.UserID, query, 10); !reflect.DeepEqual(got, wantWF) {
 		t.Fatalf("migrated workflow search diverged:\n got %+v\nwant %+v", got, wantWF)
 	}
 	// Credentials and counters survive the format hop.

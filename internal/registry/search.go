@@ -1,123 +1,174 @@
 package registry
 
 import (
+	"math"
+	"time"
+
 	"laminar/internal/core"
 	"laminar/internal/index"
 	"laminar/internal/search"
 )
 
-// Vector search. Probes hold only the read lock of the shard whose records
-// they resolve (pes for PE queries, wfs for workflow queries) — the index
-// pointer itself is copied under a momentary idxMu.R — so concurrent
-// searches run fully in parallel and a Save's marshal/IO phase never
-// blocks them.
+// hybridOverfetch widens both retrieval legs (and the fused pool the
+// reranker sees) to limit × hybridOverfetch candidates, so a document
+// ranked modestly by both legs — or poorly by ANN but well lexically —
+// can still reach the final top-k.
+const hybridOverfetch = 4
 
-// SemanticSearch ranks the user's visible PEs against a description-
-// embedding query via the incrementally maintained description index
-// (Section 4.2). Unlike the historic path there is no per-query snapshot of
-// every record: the index answers the top-k probe directly.
-func (s *Store) SemanticSearch(userID int, queryEmbedding []float32, limit int) []core.SearchHit {
-	return s.indexSearch(userID, queryEmbedding, limit, false)
+// Query is what the inputs of one Search call share.
+type Query struct {
+	// Mode is the pipeline: core.ModeANN (also the zero value) returns the
+	// vector leg's ranking, cosine scores untouched; core.ModeHybrid fuses
+	// it with the BM25 lexical leg by reciprocal rank; core.ModeReranked
+	// then reranks the fused pool with the cross-encoder.
+	Mode string
+	// Code ranks by PE code embeddings (code completion) instead of
+	// descriptions. Workflows carry none, so a code query never ranks them.
+	Code bool
+	// Type selects PEs, workflows, or (the zero value too) both.
+	Type core.SearchType
+	// Limit is each result list's length (search.DefaultLimit when <= 0).
+	Limit int
 }
 
-// CompletionSearch ranks the user's visible PEs against a code-embedding
-// query via the incrementally maintained code index (Section 4.3).
-func (s *Store) CompletionSearch(userID int, queryEmbedding []float32, limit int) []core.SearchHit {
-	return s.indexSearch(userID, queryEmbedding, limit, true)
+// Input is one query of a Search call. Either leg may be absent: without
+// an Embedding (bi-encoder contract: the caller embeds) the vector leg is
+// skipped, without Text the lexical leg and the rerank are. Fusion
+// degrades to the surviving leg, so a hybrid query never returns less than
+// the stronger single-leg answer.
+type Input struct {
+	Text      string
+	Embedding []float32
 }
 
-// SemanticSearchWorkflows ranks the user's visible workflows against a
-// description-embedding query via the workflow index — the paper only
-// indexes PEs; this makes SearchBoth semantic for both registry kinds.
-func (s *Store) SemanticSearchWorkflows(userID int, queryEmbedding []float32, limit int) []core.SearchHit {
+// Search is the store's one ranked-retrieval entry: semantic search, code
+// completion and workflow search, in every mode, for one query or a batch.
+// It answers every input under q — one hit list each, the list a call with
+// that input alone returns — in one registry round trip: a single
+// simulated WAN hop and one span of the shard read locks, with the vector
+// legs of all inputs sent to each index as one batch so it can amortize
+// probe work across them.
+//
+// Probes hold only the read locks of the shards whose records they
+// resolve (pes, wfs) — the index pointers are copied under a momentary
+// idxMu.R — so concurrent searches run fully in parallel and a Save's
+// marshal/IO phase never blocks them. The locks cover the probes because
+// the visibility filters read the live ownership sets.
+func (s *Store) Search(userID int, q Query, inputs ...Input) [][]core.SearchHit {
 	s.simulateWAN()
+	limit := q.Limit
 	if limit <= 0 {
 		limit = search.DefaultLimit
 	}
-	s.wfsMu.RLock()
-	defer s.wfsMu.RUnlock()
-	return s.wfHitsLocked(userID, queryEmbedding, limit)
-}
-
-// SemanticSearchBoth probes the PE-description and workflow indexes in a
-// single registry round trip (one simulated WAN hop) and merges the two
-// score-descending lists — the SearchBoth serving path must not pay the
-// remote-registry latency twice.
-func (s *Store) SemanticSearchBoth(userID int, queryEmbedding []float32, limit int) []core.SearchHit {
-	s.simulateWAN()
-	if limit <= 0 {
-		limit = search.DefaultLimit
+	// limit is a client-controlled value and travels here unclamped; the
+	// widened pool must saturate, never wrap to zero or below.
+	pool := limit
+	ann := q.Mode == core.ModeANN || q.Mode == ""
+	if !ann {
+		pool = math.MaxInt
+		if limit <= math.MaxInt/hybridOverfetch {
+			pool = limit * hybridOverfetch
+		}
 	}
-	s.pesMu.RLock()
-	defer s.pesMu.RUnlock()
-	s.wfsMu.RLock()
-	defer s.wfsMu.RUnlock()
-	return search.MergeRanked(
-		s.peHitsLocked(userID, queryEmbedding, limit, false),
-		s.wfHitsLocked(userID, queryEmbedding, limit),
-		limit)
-}
-
-// SemanticSearchBatch answers many description-embedding queries in one
-// registry round trip (a single simulated WAN hop and one lock
-// acquisition), letting the index amortize probe work across the batch.
-// Each result list is identical to the corresponding SemanticSearch call.
-func (s *Store) SemanticSearchBatch(userID int, queryEmbeddings [][]float32, limit int) [][]core.SearchHit {
-	return s.indexSearchBatch(userID, queryEmbeddings, limit, false)
-}
-
-// CompletionSearchBatch is SemanticSearchBatch over the code index.
-func (s *Store) CompletionSearchBatch(userID int, queryEmbeddings [][]float32, limit int) [][]core.SearchHit {
-	return s.indexSearchBatch(userID, queryEmbeddings, limit, true)
-}
-
-func (s *Store) indexSearchBatch(userID int, queries [][]float32, limit int, code bool) [][]core.SearchHit {
-	s.simulateWAN()
-	if limit <= 0 {
-		limit = search.DefaultLimit
+	wantPEs := q.Type != core.SearchWorkflows
+	wantWFs := q.Type != core.SearchPEs && !q.Code
+	var visiblePEs, visibleWFs map[int]bool
+	if wantPEs {
+		s.pesMu.RLock()
+		defer s.pesMu.RUnlock()
+		visiblePEs = s.userPEs[userID]
 	}
-	s.pesMu.RLock()
-	defer s.pesMu.RUnlock()
-	desc, codeIdx, _ := s.indexes()
-	idx := desc
-	if code {
-		idx = codeIdx
+	if wantWFs {
+		s.wfsMu.RLock()
+		defer s.wfsMu.RUnlock()
+		visibleWFs = s.userWorkflows[userID]
 	}
-	visible := s.userPEs[userID]
-	batches := index.SearchBatchOf(idx, queries, limit, func(id int) bool { return visible[id] })
-	out := make([][]core.SearchHit, len(batches))
-	for i, cands := range batches {
-		out[i] = search.HitsFromCandidates(cands, func(id int) (core.PERecord, bool) {
-			if pe := s.pes[id]; pe != nil {
-				return *pe, true
+	seesPE := func(id int) bool { return visiblePEs[id] }
+	seesWF := func(id int) bool { return visibleWFs[id] }
+
+	// Vector legs, batched per index over the inputs that carry a vector.
+	var embs [][]float32
+	for _, in := range inputs {
+		if in.Embedding != nil {
+			embs = append(embs, in.Embedding)
+		}
+	}
+	var peANN, wfANN [][]index.Candidate
+	if len(embs) > 0 {
+		desc, code, wf := s.indexes()
+		if wantPEs {
+			if q.Code {
+				desc = code
 			}
-			return core.PERecord{}, false
-		})
+			peANN = index.SearchBatchOf(desc, embs, pool, seesPE)
+		}
+		if wantWFs {
+			wfANN = index.SearchBatchOf(wf, embs, pool, seesWF)
+		}
+	}
+	peLex, wfLex := s.lexIndexes()
+	m := s.instruments()
+
+	out := make([][]core.SearchHit, len(inputs))
+	next := 0 // position of the next input's candidates in peANN/wfANN
+	for i, in := range inputs {
+		var annLeg []core.SearchHit
+		if in.Embedding != nil {
+			var peC, wfC []index.Candidate
+			if wantPEs {
+				peC = peANN[next]
+			}
+			if wantWFs {
+				wfC = wfANN[next]
+			}
+			next++
+			// PE and workflow descriptions share one embedding model, so
+			// the two lists rank against each other in one cosine space.
+			annLeg = search.MergeRanked(s.peHitsLocked(peC), s.wfHitsLocked(wfC), pool)
+		}
+		if ann {
+			out[i] = annLeg
+			continue
+		}
+
+		var lexLeg []core.SearchHit
+		if in.Text != "" {
+			start := time.Now()
+			var peC, wfC []index.Candidate
+			if wantPEs {
+				peC = peLex.Search(in.Text, pool, seesPE)
+			}
+			if wantWFs {
+				wfC = wfLex.Search(in.Text, pool, seesWF)
+			}
+			// BM25 scores from the two lexical indexes share one scoring
+			// scheme, so a score merge is meaningful here too.
+			lexLeg = search.MergeRanked(s.peHitsLocked(peC), s.wfHitsLocked(wfC), pool)
+			if m != nil {
+				m.lexicalSearches.Inc()
+				m.lexicalSeconds.ObserveSince(start)
+			}
+		}
+
+		if q.Mode != core.ModeReranked {
+			out[i] = search.FuseRRF(limit, annLeg, lexLeg)
+			continue
+		}
+		fused := search.FuseRRF(pool, annLeg, lexLeg)
+		start := time.Now()
+		out[i] = search.Rerank(in.Text, fused, limit)
+		if m != nil {
+			m.rerankSearches.Inc()
+			m.rerankSeconds.ObserveSince(start)
+			m.rerankPool.Observe(float64(len(fused)))
+		}
 	}
 	return out
 }
 
-func (s *Store) indexSearch(userID int, query []float32, limit int, code bool) []core.SearchHit {
-	s.simulateWAN()
-	if limit <= 0 {
-		limit = search.DefaultLimit
-	}
-	s.pesMu.RLock()
-	defer s.pesMu.RUnlock()
-	return s.peHitsLocked(userID, query, limit, code)
-}
-
-// peHitsLocked probes a PE index (description or code embeddings) under the
-// held pes read lock and resolves the candidates to hits. The lock covers
-// the probe because the visibility filter reads the live ownership set.
-func (s *Store) peHitsLocked(userID int, query []float32, limit int, code bool) []core.SearchHit {
-	desc, codeIdx, _ := s.indexes()
-	idx := desc
-	if code {
-		idx = codeIdx
-	}
-	visible := s.userPEs[userID]
-	cands := idx.Search(query, limit, func(id int) bool { return visible[id] })
+// peHitsLocked resolves PE candidates (from either kind of index) to hits
+// under the held pes read lock.
+func (s *Store) peHitsLocked(cands []index.Candidate) []core.SearchHit {
 	return search.HitsFromCandidates(cands, func(id int) (core.PERecord, bool) {
 		if pe := s.pes[id]; pe != nil {
 			return *pe, true
@@ -126,15 +177,48 @@ func (s *Store) peHitsLocked(userID int, query []float32, limit int, code bool) 
 	})
 }
 
-// wfHitsLocked probes the workflow index under the held wfs read lock.
-func (s *Store) wfHitsLocked(userID int, query []float32, limit int) []core.SearchHit {
-	_, _, wfIdx := s.indexes()
-	visible := s.userWorkflows[userID]
-	cands := wfIdx.Search(query, limit, func(id int) bool { return visible[id] })
+// wfHitsLocked resolves workflow candidates to hits under the held wfs
+// read lock.
+func (s *Store) wfHitsLocked(cands []index.Candidate) []core.SearchHit {
 	return search.WorkflowHitsFromCandidates(cands, func(id int) (core.WorkflowRecord, bool) {
 		if wf := s.workflows[id]; wf != nil {
 			return *wf, true
 		}
 		return core.WorkflowRecord{}, false
 	})
+}
+
+// The three entry points below predate Search and stay because the repo's
+// benchmark compiles against them; each is one Search call.
+
+// CompletionSearch ranks the user's PEs against a code embedding (Section 4.3).
+func (s *Store) CompletionSearch(userID int, queryEmbedding []float32, limit int) []core.SearchHit {
+	return s.Search(userID, Query{Code: true, Type: core.SearchPEs, Limit: limit}, Input{Embedding: queryEmbedding})[0]
+}
+
+// SemanticSearchBoth ranks the user's PEs and workflows together against a
+// description embedding (Section 4.2).
+func (s *Store) SemanticSearchBoth(userID int, queryEmbedding []float32, limit int) []core.SearchHit {
+	return s.Search(userID, Query{Type: core.SearchBoth, Limit: limit}, Input{Embedding: queryEmbedding})[0]
+}
+
+// HybridQuery is a Query and its one Input; Rerank selects
+// core.ModeReranked over core.ModeHybrid.
+type HybridQuery struct {
+	Text      string
+	Embedding []float32
+	Code      bool
+	Type      core.SearchType
+	Limit     int
+	Rerank    bool
+}
+
+// HybridSearch runs one hybrid (or reranked) query.
+func (s *Store) HybridSearch(userID int, q HybridQuery) []core.SearchHit {
+	mode := core.ModeHybrid
+	if q.Rerank {
+		mode = core.ModeReranked
+	}
+	return s.Search(userID, Query{Mode: mode, Code: q.Code, Type: q.Type, Limit: q.Limit},
+		Input{Text: q.Text, Embedding: q.Embedding})[0]
 }

@@ -69,7 +69,7 @@ func TestStressConcurrentMutateSearchSave(t *testing.T) {
 			defer searchers.Done()
 			for i := 0; !stop.Load(); i++ {
 				q := circleVec(i%97, 97)
-				s.SemanticSearch(u.UserID, q, 5)
+				pesByDesc(s, u.UserID, q, 5)
 				s.CompletionSearch(u.UserID, q, 5)
 				s.SemanticSearchBoth(u.UserID, q, 5)
 			}
@@ -139,7 +139,7 @@ func TestStressConcurrentMutateSearchSave(t *testing.T) {
 		t.Fatal("settled save did not restore on load")
 	}
 	q := circleVec(7, 97)
-	if got, want := fresh.SemanticSearch(u.UserID, q, 10), s.SemanticSearch(u.UserID, q, 10); !reflect.DeepEqual(got, want) {
+	if got, want := pesByDesc(fresh, u.UserID, q, 10), pesByDesc(s, u.UserID, q, 10); !reflect.DeepEqual(got, want) {
 		t.Fatalf("post-stress round trip diverged:\n got %+v\nwant %+v", got, want)
 	}
 }

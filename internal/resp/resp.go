@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 )
 
@@ -57,6 +58,19 @@ func (v Value) IsError() bool { return v.Type == TypeError }
 // ErrProtocol reports malformed wire data.
 var ErrProtocol = errors.New("resp: protocol error")
 
+// Wire limits. Lengths arrive from the peer ahead of the payload they
+// declare, so they are bounded here — the values are Redis's own
+// (proto-max-bulk-len, its multibulk cap) — and a frame beyond them is
+// ErrProtocol, never a make() panic or an exhausted stack.
+const (
+	// MaxBulkLen is the longest bulk string Read accepts, in bytes.
+	MaxBulkLen = 512 << 20
+	// MaxArrayLen is the most elements one array may declare.
+	MaxArrayLen = 1 << 20
+	// MaxDepth is how deep arrays may nest.
+	MaxDepth = 32
+)
+
 // Reader decodes RESP values from a stream.
 type Reader struct {
 	br *bufio.Reader
@@ -66,7 +80,10 @@ type Reader struct {
 func NewReader(r io.Reader) *Reader { return &Reader{br: bufio.NewReader(r)} }
 
 // Read decodes one value.
-func (r *Reader) Read() (Value, error) {
+func (r *Reader) Read() (Value, error) { return r.read(0) }
+
+// read decodes one value nested depth arrays deep.
+func (r *Reader) read(depth int) (Value, error) {
 	t, err := r.br.ReadByte()
 	if err != nil {
 		return Value{}, err
@@ -100,8 +117,11 @@ func (r *Reader) Read() (Value, error) {
 		if n < 0 {
 			return NullBulk(), nil
 		}
-		buf := make([]byte, n+2)
-		if _, err := io.ReadFull(r.br, buf); err != nil {
+		if n > MaxBulkLen {
+			return Value{}, fmt.Errorf("%w: bulk length %d exceeds %d", ErrProtocol, n, MaxBulkLen)
+		}
+		buf, err := r.readN(n + 2)
+		if err != nil {
 			return Value{}, err
 		}
 		if buf[n] != '\r' || buf[n+1] != '\n' {
@@ -120,13 +140,21 @@ func (r *Reader) Read() (Value, error) {
 		if n < 0 {
 			return NullArray(), nil
 		}
-		items := make([]Value, n)
+		if n > MaxArrayLen {
+			return Value{}, fmt.Errorf("%w: array length %d exceeds %d", ErrProtocol, n, MaxArrayLen)
+		}
+		if depth == MaxDepth {
+			return Value{}, fmt.Errorf("%w: arrays nested deeper than %d", ErrProtocol, MaxDepth)
+		}
+		// Grown as elements arrive: the declared length alone must not
+		// commit memory the peer never sends.
+		items := make([]Value, 0, min(n, 64))
 		for i := 0; i < n; i++ {
-			v, err := r.Read()
+			v, err := r.read(depth + 1)
 			if err != nil {
 				return Value{}, err
 			}
-			items[i] = v
+			items = append(items, v)
 		}
 		return Value{Type: t, Array: items}, nil
 	default:
@@ -158,6 +186,23 @@ func (r *Reader) Read() (Value, error) {
 		}
 		return Value{Type: TypeArray, Array: items}, nil
 	}
+}
+
+// readN reads exactly n payload bytes, growing the buffer a chunk at a
+// time as they arrive: like an array's, a bulk string's declared length
+// alone must not commit memory the peer never sends.
+func (r *Reader) readN(n int) ([]byte, error) {
+	const chunk = 64 << 10
+	buf := make([]byte, 0, min(n, chunk))
+	for len(buf) < n {
+		old := len(buf)
+		next := min(n, old+chunk)
+		buf = slices.Grow(buf, next-old)[:next]
+		if _, err := io.ReadFull(r.br, buf[old:]); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 func (r *Reader) readLine() (string, error) {

@@ -2,11 +2,24 @@
 // Controller / Service / DAO architecture exposing every endpoint of
 // Table 3 over JSON HTTP. Controllers parse requests and shape responses;
 // the Service layer holds the business logic (resolving workflows for
-// execution, dispatching searches); the DAO layer is the registry store.
+// execution, running searches); the DAO layer is the registry store.
 // Errors follow the standardized JSON format of Section 3.2.5.
+//
+// Searches have one path (query.go). The GET and POST forms of
+// /registry/{user}/search, POST /registry/{user}/search/batch and the
+// cluster shard leaf (ClusterSearchLocal) each hand plan a request and the
+// queries it is asked over — a batch is N queries, a single search a batch
+// of one — and plan returns it validated and concrete: types defaulted,
+// mode resolved against the server's default, limit fixed, embedding
+// widths checked. execute then runs cache lookup → embed → backend → cache
+// fill under the request's context, where the backend is the cluster
+// scatter on a coordinator and registry.Store.Search everywhere else. No
+// route resolves a mode, touches the cache or calls a backend itself, so
+// none can lack what another has; TestOnePipeline holds that.
 package server
 
 import (
+	"cmp"
 	"context"
 	"crypto/subtle"
 	"encoding/json"
@@ -26,7 +39,6 @@ import (
 	"laminar/internal/engine"
 	"laminar/internal/qcache"
 	"laminar/internal/registry"
-	"laminar/internal/search"
 	"laminar/internal/telemetry"
 )
 
@@ -47,8 +59,6 @@ type Config struct {
 	// Engine handles /execution requests; a default engine is created when
 	// nil.
 	Engine *engine.Engine
-	// SearchLimit caps search hit lists (0 = search.DefaultLimit).
-	SearchLimit int
 	// SearchMode is the default retrieval pipeline for semantic and code
 	// queries when the request doesn't name one: core.ModeANN (the default
 	// when empty), core.ModeHybrid or core.ModeReranked. Any other value
@@ -75,21 +85,21 @@ type Config struct {
 	// compose as OR: either satisfies the guard. Both empty = open.
 	MetricsAllow []string
 	// Cluster, when set, makes this node a coordinator: semantic and code
-	// searches scatter-gather across the configured shards instead of
-	// probing the local indexes. Text search and every other endpoint stay
-	// local.
+	// searches — single, batched, or arriving through ClusterSearchLocal —
+	// scatter-gather across the configured shards instead of probing the
+	// local indexes. Text search and every other endpoint stay local.
 	Cluster *cluster.Coordinator
-	// CacheSize bounds the generation-tagged query-result cache, in
-	// entries (0 = caching off). Cached semantic/code results are
-	// invalidated by the registry mutation epoch and the vector indexes'
+	// CacheSize bounds the query-result cache in front of the semantic and
+	// code pipeline, in entries (0 = caching off). A node has one cache,
+	// because it answers those queries one way. Without Cluster, entries
+	// are tagged with the registry mutation epoch and the vector indexes'
 	// retrain generation, so the cache can never serve results computed
 	// against a world that has since changed. See docs/search.md.
 	CacheSize int
-	// ClusterCacheTTL bounds staleness of the coordinator-tier cache. A
-	// coordinator cannot observe its shards' mutation epochs, so its
-	// cached fan-out results expire by clock instead of by tag
-	// (0 = DefaultClusterCacheTTL; negative disables the coordinator
-	// tier while keeping the local one). Ignored without Cluster.
+	// ClusterCacheTTL bounds staleness of a coordinator's cache: it cannot
+	// observe its shards' mutation epochs, so its cached scatter results
+	// expire by clock instead of by tag (0 = DefaultClusterCacheTTL;
+	// negative = a coordinator caches nothing). Ignored without Cluster.
 	ClusterCacheTTL time.Duration
 	// DeltaMaxSegments and DeltaCompactRatio override the registry's
 	// delta-journal compaction policy when > 0 (see
@@ -98,7 +108,7 @@ type Config struct {
 	DeltaCompactRatio float64
 }
 
-// DefaultClusterCacheTTL bounds coordinator-tier cache staleness when
+// DefaultClusterCacheTTL bounds a coordinator's cache staleness when
 // Config.ClusterCacheTTL is 0: long enough to absorb a hot-query burst,
 // short enough that a shard-side write is visible within a beat.
 const DefaultClusterCacheTTL = 2 * time.Second
@@ -117,12 +127,10 @@ type Server struct {
 	httpReqs    *telemetry.CounterVec   // laminar_http_requests_total{route,code}
 	httpLatency *telemetry.HistogramVec // laminar_http_request_seconds{route}
 
-	// cache holds local semantic/code search results tagged with the
-	// registry epoch + index generation they were computed against;
-	// coordCache holds coordinator fan-out results, TTL-expired (shard
-	// epochs are invisible here). Both nil when caching is off.
-	cache      *qcache.Cache[[]core.SearchHit]
-	coordCache *qcache.Cache[cluster.Result]
+	// cache holds semantic/code results in front of the pipeline's backend
+	// (query.go): tag-validated on a node that answers from its own
+	// registry, TTL-expired on a coordinator. Nil when caching is off.
+	cache *qcache.Cache[[]core.SearchHit]
 
 	// metricsAllow holds the parsed Config.MetricsAllow networks.
 	metricsAllow []*net.IPNet
@@ -165,9 +173,11 @@ func New(cfg Config) *Server {
 		cfg.Cluster.SetMetrics(clusterMetrics)
 	}
 	// The laminar_cache_* families register unconditionally (same runbook
-	// contract as the cluster families above); both tiers' children exist
-	// from startup so a scrape shows zeros, not absence. The caches
-	// themselves come to life only with a CacheSize.
+	// contract as the cluster families above), with both label values'
+	// children from startup so a scrape shows zeros, not absence. A node
+	// feeds one of them: it answers embedding queries either from its own
+	// registry ("local") or by scatter ("coordinator"), never both. The
+	// cache itself comes to life only with a CacheSize.
 	cacheHits := s.telem.CounterVec("laminar_cache_hits_total",
 		"Query-cache lookups answered from cache.", "cache")
 	cacheMisses := s.telem.CounterVec("laminar_cache_misses_total",
@@ -178,33 +188,23 @@ func New(cfg Config) *Server {
 		"Query-cache entries evicted by the LRU capacity bound.", "cache")
 	cacheEntries := s.telem.GaugeVec("laminar_cache_entries",
 		"Live query-cache entries.", "cache")
-	tierMetrics := func(tier string) qcache.Metrics {
+	cacheMetrics := func(label string) qcache.Metrics {
 		return qcache.Metrics{
-			Hits:          cacheHits.With(tier),
-			Misses:        cacheMisses.With(tier),
-			Invalidations: cacheInvalidations.With(tier),
-			Evictions:     cacheEvictions.With(tier),
-			Entries:       cacheEntries.With(tier),
+			Hits:          cacheHits.With(label),
+			Misses:        cacheMisses.With(label),
+			Invalidations: cacheInvalidations.With(label),
+			Evictions:     cacheEvictions.With(label),
+			Entries:       cacheEntries.With(label),
 		}
 	}
-	localCacheMetrics := tierMetrics("local")
-	coordCacheMetrics := tierMetrics("coordinator")
-	if cfg.CacheSize > 0 {
-		s.cache = qcache.New[[]core.SearchHit](qcache.Options{
-			MaxEntries: cfg.CacheSize,
-			Metrics:    localCacheMetrics,
-		})
-		if cfg.Cluster != nil && cfg.ClusterCacheTTL >= 0 {
-			ttl := cfg.ClusterCacheTTL
-			if ttl == 0 {
-				ttl = DefaultClusterCacheTTL
-			}
-			s.coordCache = qcache.New[cluster.Result](qcache.Options{
-				MaxEntries: cfg.CacheSize,
-				TTL:        ttl,
-				Metrics:    coordCacheMetrics,
-			})
-		}
+	local, coordinator := cacheMetrics("local"), cacheMetrics("coordinator")
+	opts := qcache.Options{MaxEntries: cfg.CacheSize, Metrics: local}
+	if cfg.Cluster != nil {
+		opts.Metrics = coordinator
+		opts.TTL = cmp.Or(cfg.ClusterCacheTTL, DefaultClusterCacheTTL)
+	}
+	if opts.MaxEntries > 0 && opts.TTL >= 0 {
+		s.cache = qcache.New[[]core.SearchHit](opts)
 	}
 	if cfg.DeltaMaxSegments > 0 || cfg.DeltaCompactRatio > 0 {
 		s.reg.SetDeltaPolicy(registry.DeltaPolicy{
@@ -518,7 +518,7 @@ func (s *Server) handleLogin(w http.ResponseWriter, r *http.Request) {
 // like mysteriously-bad recall. Rejecting at the boundary names the field
 // and the expected width instead. (The registry layer itself stays
 // width-agnostic: its unit tests exercise small toy vectors.)
-func checkEmbeddingDim(field string, v []float32) error {
+func checkEmbeddingDim(field string, v []float32) *core.APIError {
 	if len(v) != 0 && len(v) != embed.Dim {
 		return core.ErrBadRequest(field, "embedding has dimension %d, want %d", len(v), embed.Dim)
 	}
@@ -728,316 +728,6 @@ func (s *Server) handleAssociatePE(w http.ResponseWriter, r *http.Request, user 
 
 func (s *Server) handleRegistryAll(w http.ResponseWriter, r *http.Request, user *core.UserRecord) {
 	writeJSON(w, http.StatusOK, s.reg.Listing(user.UserID))
-}
-
-// handleSearch serves the path form of Table 3:
-// GET /registry/{user}/search/{search}/type/{type}?query=text|semantic|code
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, user *core.UserRecord) {
-	req := core.SearchRequest{
-		Search:     r.PathValue("search"),
-		SearchType: core.SearchType(strings.ToLower(r.PathValue("type"))),
-		QueryType:  core.QueryType(strings.ToLower(r.URL.Query().Get("query"))),
-		Mode:       strings.ToLower(r.URL.Query().Get("mode")),
-	}
-	if req.QueryType == "" {
-		req.QueryType = core.QueryText
-	}
-	s.search(w, r, user, req)
-}
-
-// handleSearchPost accepts the full SearchRequest body (semantic and code
-// queries carry client-computed embeddings this way).
-func (s *Server) handleSearchPost(w http.ResponseWriter, r *http.Request, user *core.UserRecord) {
-	var req core.SearchRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	s.search(w, r, user, req)
-}
-
-// search is the Service-layer dispatch across the three mechanisms. Text
-// queries still match over the user's record listing; semantic and code
-// queries are answered by the registry's incrementally maintained vector
-// indexes — or, on a coordinator node, scatter-gathered across the
-// cluster's shards and merged into one global ranking.
-func (s *Server) search(w http.ResponseWriter, r *http.Request, user *core.UserRecord, req core.SearchRequest) {
-	if req.SearchType == "" {
-		req.SearchType = core.SearchBoth
-	}
-	switch req.SearchType {
-	case core.SearchPEs, core.SearchWorkflows, core.SearchBoth:
-	default:
-		writeErr(w, core.ErrBadRequest("type", "unknown search type %q (want pe, workflow or both)", req.SearchType))
-		return
-	}
-	// Coordinator path: embedding-ranked queries fan out to the shards
-	// (each holds a partition of the corpus) and the per-shard top-k lists
-	// merge into one ranking. The query embedding is computed once, here,
-	// so shards compare rather than re-embed. Text search stays local —
-	// it ranks over the user's own listing, which every shard-broadcast
-	// user resolves locally.
-	if s.cfg.Cluster != nil && (req.QueryType == core.QuerySemantic || req.QueryType == core.QueryCode) {
-		// Resolve the retrieval mode here, against the coordinator's
-		// default, and forward it explicitly — every shard then runs the
-		// same pipeline regardless of its own configured default.
-		mode, err := s.resolveMode(req.Mode)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		req.Mode = mode
-		if req.QueryEmbedding == nil {
-			if req.QueryType == core.QueryCode {
-				req.QueryEmbedding = search.EmbedCode(req.Search)
-			} else {
-				req.QueryEmbedding = search.EmbedDescription(req.Search)
-			}
-		}
-		if req.Limit <= 0 {
-			req.Limit = s.cfg.SearchLimit
-		}
-		// Coordinator-tier cache: a repeated fan-out within the TTL is
-		// answered here, costing zero shard round trips. Degraded results
-		// are never cached — a shard coming back should be visible on the
-		// next attempt, not after a TTL.
-		var ckey uint64
-		if s.coordCache != nil {
-			ckey = searchKey(user.UserID, mode, req)
-			if res, ok := s.coordCache.Get(ckey, qcache.Tag{}); ok {
-				writeJSON(w, http.StatusOK, core.SearchResponse{Hits: res.Hits, Degraded: res.Degraded})
-				return
-			}
-		}
-		res := s.cfg.Cluster.Search(r.Context(), user.UserName, req)
-		if s.coordCache != nil && !res.Degraded {
-			s.coordCache.Put(ckey, qcache.Tag{}, res)
-		}
-		writeJSON(w, http.StatusOK, core.SearchResponse{Hits: res.Hits, Degraded: res.Degraded})
-		return
-	}
-	hits, err := s.searchHits(user, req)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, core.SearchResponse{Hits: hits})
-}
-
-// searchHits answers one query from the node's own registry.
-func (s *Server) searchHits(user *core.UserRecord, req core.SearchRequest) ([]core.SearchHit, error) {
-	// limit <= 0 falls through to each mechanism's search.DefaultLimit.
-	limit := req.Limit
-	if limit <= 0 {
-		limit = s.cfg.SearchLimit
-	}
-	// Local-tier cache: embedding-ranked queries short-circuit the ANN
-	// walk (and the hybrid/rerank stages behind it) when the same query
-	// already ran against the same world state. The tag pairs the
-	// registry mutation epoch with the index retrain generation, so any
-	// add/remove/load/restore or retrain invalidates on the next lookup.
-	ckey, ctag, cacheable := s.searchCacheKey(user.UserID, req, limit)
-	if cacheable {
-		if hits, ok := s.cache.Get(ckey, ctag); ok {
-			return hits, nil
-		}
-	}
-	var hits []core.SearchHit
-	switch req.QueryType {
-	case core.QueryText, "":
-		pes := s.reg.PEsForUser(user.UserID)
-		wfs := s.reg.WorkflowsForUser(user.UserID)
-		hits = search.Text(req.Search, req.SearchType, pes, wfs, limit)
-	case core.QuerySemantic:
-		mode, err := s.resolveMode(req.Mode)
-		if err != nil {
-			return nil, err
-		}
-		// Bi-encoder contract: clients embed their own queries; embed
-		// server-side only when the request carries none.
-		emb := req.QueryEmbedding
-		if emb == nil {
-			emb = search.EmbedDescription(req.Search)
-		}
-		if mode != core.ModeANN {
-			hits = s.reg.HybridSearch(user.UserID, registry.HybridQuery{
-				Text:      req.Search,
-				Embedding: emb,
-				Type:      req.SearchType,
-				Limit:     limit,
-				Rerank:    mode == core.ModeReranked,
-			})
-			break
-		}
-		// Both kinds are semantically indexed (PE descriptions and workflow
-		// descriptions share the embedding model), so SearchBoth ranks them
-		// against each other in one cosine space.
-		switch req.SearchType {
-		case core.SearchPEs:
-			hits = s.reg.SemanticSearch(user.UserID, emb, limit)
-		case core.SearchWorkflows:
-			hits = s.reg.SemanticSearchWorkflows(user.UserID, emb, limit)
-		default: // SearchBoth: one registry round trip for both indexes
-			hits = s.reg.SemanticSearchBoth(user.UserID, emb, limit)
-		}
-	case core.QueryCode:
-		mode, err := s.resolveMode(req.Mode)
-		if err != nil {
-			return nil, err
-		}
-		// Only PEs carry code embeddings; a workflow-only code query has
-		// nothing to rank and returns no hits.
-		if req.SearchType == core.SearchWorkflows {
-			break
-		}
-		emb := req.QueryEmbedding
-		if emb == nil {
-			emb = search.EmbedCode(req.Search)
-		}
-		if mode != core.ModeANN {
-			hits = s.reg.HybridSearch(user.UserID, registry.HybridQuery{
-				Text:      req.Search,
-				Embedding: emb,
-				Code:      true,
-				Type:      req.SearchType,
-				Limit:     limit,
-				Rerank:    mode == core.ModeReranked,
-			})
-			break
-		}
-		hits = s.reg.CompletionSearch(user.UserID, emb, limit)
-	default:
-		return nil, core.ErrBadRequest("query", "unknown query type %q (want text, semantic or code)", req.QueryType)
-	}
-	if cacheable {
-		s.cache.Put(ckey, ctag, hits)
-	}
-	return hits, nil
-}
-
-// searchCacheKey decides whether a query is cacheable on the local tier
-// and, when it is, returns its key and the current world tag. Text
-// queries rank over the user's own listing (cheap, no index walk to
-// save) and stay uncached; mode errors fall through so the pipeline
-// branch reports them.
-func (s *Server) searchCacheKey(userID int, req core.SearchRequest, limit int) (uint64, qcache.Tag, bool) {
-	if s.cache == nil || (req.QueryType != core.QuerySemantic && req.QueryType != core.QueryCode) {
-		return 0, qcache.Tag{}, false
-	}
-	mode, err := s.resolveMode(req.Mode)
-	if err != nil {
-		return 0, qcache.Tag{}, false
-	}
-	key := searchKey(userID, mode, core.SearchRequest{
-		Search:         req.Search,
-		SearchType:     req.SearchType,
-		QueryType:      req.QueryType,
-		QueryEmbedding: req.QueryEmbedding,
-		Limit:          limit,
-	})
-	tag := qcache.Tag{Epoch: s.reg.Epoch(), Gen: s.reg.IndexGeneration()}
-	return key, tag, true
-}
-
-// searchKey hashes a query's identity fields: who asked, what ran
-// (mode + query type + search type), over what input (text and any
-// client-supplied embedding) and how much of it (limit). The embedding
-// is part of the key because the bi-encoder contract lets clients send
-// one that differs from what the text would embed to server-side.
-func searchKey(userID int, mode string, req core.SearchRequest) uint64 {
-	return qcache.NewKey().
-		Int(userID).
-		String(mode).
-		String(string(req.QueryType)).
-		String(string(req.SearchType)).
-		Int(req.Limit).
-		String(req.Search).
-		Floats(req.QueryEmbedding).
-		Sum()
-}
-
-// resolveMode picks the retrieval pipeline for a semantic or code query:
-// the request's explicit mode wins, else the server's configured default,
-// else pure ANN. An unknown mode is a client error, not a fallback.
-func (s *Server) resolveMode(reqMode string) (string, error) {
-	mode := reqMode
-	if mode == "" {
-		mode = s.cfg.SearchMode
-	}
-	switch mode {
-	case "", core.ModeANN:
-		return core.ModeANN, nil
-	case core.ModeHybrid, core.ModeReranked:
-		return mode, nil
-	}
-	return "", core.ErrBadRequest("mode", "unknown search mode %q (want ann, hybrid or reranked)", mode)
-}
-
-// ClusterSearchLocal answers one search against this node's own registry
-// the way POST /registry/{user}/search would, shaped for the cluster
-// package's RESP transport (cluster.SearchFunc). It never consults the
-// coordinator — it IS the per-shard leaf of a scatter-gather.
-func (s *Server) ClusterSearchLocal(userName string, req core.SearchRequest) (core.SearchResponse, error) {
-	user, err := s.reg.UserByName(userName)
-	if err != nil {
-		return core.SearchResponse{}, err
-	}
-	if req.SearchType == "" {
-		req.SearchType = core.SearchBoth
-	}
-	switch req.SearchType {
-	case core.SearchPEs, core.SearchWorkflows, core.SearchBoth:
-	default:
-		return core.SearchResponse{}, core.ErrBadRequest("type", "unknown search type %q (want pe, workflow or both)", req.SearchType)
-	}
-	hits, err := s.searchHits(user, req)
-	if err != nil {
-		return core.SearchResponse{}, err
-	}
-	return core.SearchResponse{Hits: hits}, nil
-}
-
-// handleSearchBatch answers many semantic or code PE queries in one
-// request: the embeddings travel to the registry together, which probes
-// the vector index with a single batched call (one lock acquisition,
-// shared shard visits). Each result list is identical to what the same
-// query would return through POST /registry/{user}/search.
-func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request, user *core.UserRecord) {
-	var req core.SearchBatchRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	embs := req.QueryEmbeddings
-	if len(embs) == 0 {
-		if len(req.Queries) == 0 {
-			writeErr(w, core.ErrBadRequest("queries", "batch carries no queries and no embeddings"))
-			return
-		}
-		embs = make([][]float32, len(req.Queries))
-		for i, q := range req.Queries {
-			if req.QueryType == core.QueryCode {
-				embs[i] = search.EmbedCode(q)
-			} else {
-				embs[i] = search.EmbedDescription(q)
-			}
-		}
-	}
-	limit := req.Limit
-	if limit <= 0 {
-		limit = s.cfg.SearchLimit
-	}
-	var results [][]core.SearchHit
-	switch req.QueryType {
-	case core.QuerySemantic, "":
-		results = s.reg.SemanticSearchBatch(user.UserID, embs, limit)
-	case core.QueryCode:
-		results = s.reg.CompletionSearchBatch(user.UserID, embs, limit)
-	default:
-		writeErr(w, core.ErrBadRequest("query", "unknown query type %q (want semantic or code)", req.QueryType))
-		return
-	}
-	writeJSON(w, http.StatusOK, core.SearchBatchResponse{Results: results})
 }
 
 // ---- Execution controller ----

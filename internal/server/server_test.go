@@ -521,7 +521,9 @@ func TestEmbeddingDimValidation(t *testing.T) {
 
 // TestSearchBatchEndpoint: POST /search/batch answers one hit list per
 // query, each identical to what the single-query search path returns —
-// batching is an amortization, never a semantic change.
+// batching is an amortization, never a semantic change. This is the
+// route's wire contract; pipeline_test.go holds batch ≡ single across
+// every mode, through the cache and through a coordinator.
 func TestSearchBatchEndpoint(t *testing.T) {
 	addr := startServer(t)
 	for _, p := range []struct{ name, desc string }{
@@ -604,6 +606,18 @@ func TestSearchBatchEndpoint(t *testing.T) {
 	}, nil)
 	if code != 400 || !strings.Contains(raw, "query type") {
 		t.Fatalf("bad query type: %d %s", code, raw)
+	}
+	// The batch route ranks by embedding only, and validates mode and
+	// search type exactly as the single route does: same plan.
+	for _, bad := range []core.SearchBatchRequest{
+		{QueryType: core.QueryText, Queries: []string{"x"}},
+		{Mode: "bm25", Queries: []string{"x"}},
+		{SearchType: "everything", Queries: []string{"x"}},
+	} {
+		code, raw = doReq(t, http.MethodPost, addr+"/registry/zz46/search/batch", bad, nil)
+		if code != 400 || !strings.Contains(raw, "BadRequestError") {
+			t.Fatalf("batch %+v: %d %s", bad, code, raw)
+		}
 	}
 	// Unknown user 404s like every registry route.
 	code, raw = doReq(t, http.MethodPost, addr+"/registry/nobody/search/batch", core.SearchBatchRequest{

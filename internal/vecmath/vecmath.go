@@ -8,8 +8,8 @@
 //
 // Every exact kernel scores the *common prefix* of its two arguments —
 // the contract embed.Cosine has always had — and accumulates in float64
-// with a single accumulator in index order, so Dot, DotPrefix, DotBatch
-// and L2 are bit-identical to the scalar one-at-a-time loops they
+// with a single accumulator in index order, so Dot, DotBatch and L2
+// are bit-identical to the scalar one-at-a-time loops they
 // replaced. That identity is load-bearing: the clustered index's
 // RecallTarget=1.0 proof rule promises byte-identical-to-Flat results,
 // and it holds only because every implementation of these kernels sums
@@ -56,22 +56,6 @@ func Dot(a, b []float32) float64 {
 		b = b[:len(a)]
 	}
 	return dotKernel(a, b)
-}
-
-// DotPrefix scores only the first m dimensions (clamped to the common
-// prefix) — the cheap partial score widened-pool re-ranking uses before
-// its exact rescore.
-func DotPrefix(a, b []float32, m int) float64 {
-	if m > len(a) {
-		m = len(a)
-	}
-	if m > len(b) {
-		m = len(b)
-	}
-	if m < 0 {
-		m = 0
-	}
-	return dotKernel(a[:m], b[:m])
 }
 
 // DotBatch scores one query against many stored vectors, writing

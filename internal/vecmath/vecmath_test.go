@@ -36,22 +36,6 @@ func refL2(a, b []float32) float64 {
 	return math.Sqrt(s)
 }
 
-// refDotPrefix is the seed partial score (clustered.dotPrefix's historic
-// body).
-func refDotPrefix(a, b []float32, m int) float64 {
-	if len(a) < m {
-		m = len(a)
-	}
-	if len(b) < m {
-		m = len(b)
-	}
-	var s float64
-	for i := 0; i < m; i++ {
-		s += float64(a[i]) * float64(b[i])
-	}
-	return s
-}
-
 func randVec(rng *rand.Rand, n int) []float32 {
 	v := make([]float32, n)
 	for i := range v {
@@ -60,7 +44,7 @@ func randVec(rng *rand.Rand, n int) []float32 {
 	return v
 }
 
-// TestDotBitIdentical pins Dot/DotPrefix/L2 bit-identical to the scalar
+// TestDotBitIdentical pins Dot/L2 bit-identical to the scalar
 // reference loops over random lengths — including mismatched lengths
 // (the common-prefix contract) and lengths around the 8-wide unroll
 // boundary — so swapping the kernels in can never change a single score.
@@ -75,11 +59,6 @@ func TestDotBitIdentical(t *testing.T) {
 			}
 			if got, want := L2(a, b), refL2(a, b); got != want {
 				t.Fatalf("L2(len %d, len %d) = %v, reference loop %v", la, lb, got, want)
-			}
-			for _, m := range []int{0, 1, la / 2, la, la + 3} {
-				if got, want := DotPrefix(a, b, m), refDotPrefix(a, b, m); got != want {
-					t.Fatalf("DotPrefix(len %d, len %d, m=%d) = %v, reference loop %v", la, lb, m, got, want)
-				}
 			}
 		}
 	}

@@ -115,9 +115,9 @@ type ServerOptions struct {
 	// spills when its second-nearest centroid is within (1+IndexSpill)
 	// times the distance of its nearest.
 	IndexSpill float64
-	// IndexOverfetch, when > 1, widens the clustered candidate pool to
-	// k*IndexOverfetch using cheap partial scoring and exact-rescores the
-	// pool before the final top-k.
+	// IndexOverfetch, when > 1, widens the int8-scored candidate pool to
+	// k*IndexOverfetch before the exact rescore picks the final top-k.
+	// It engages only with IndexQuantize.
 	IndexOverfetch int
 	// IndexQuantize maintains int8 quantized companions of the clustered
 	// index's vectors and scores the candidate pass with cheap int8 dot
@@ -184,10 +184,10 @@ type ServerOptions struct {
 	// hot repeated queries short-circuit the ANN walk without ever
 	// serving stale rankings. See docs/search.md.
 	CacheSize int
-	// ClusterCacheTTL bounds staleness of a coordinator's fan-out cache
-	// (shard epochs are invisible to the coordinator, so its tier
-	// expires by clock). 0 = the server default (2s); negative disables
-	// the coordinator tier. Ignored without ClusterPeers.
+	// ClusterCacheTTL bounds staleness of a coordinator's cache (shard
+	// epochs are invisible to the coordinator, so its entries expire by
+	// clock). 0 = the server default (2s); negative = a coordinator
+	// caches nothing. Ignored without ClusterPeers.
 	ClusterCacheTTL time.Duration
 	// DeltaMaxSegments caps how many delta-journal segments may
 	// accumulate before SaveDelta compacts the chain into a full v2
