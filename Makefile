@@ -20,7 +20,7 @@ RACE_PKGS = ./internal/registry/... ./internal/index ./internal/server ./interna
 COVER_FLOOR = 85
 COVER_PKGS = ./internal/lexical ./internal/search ./internal/registry/storage ./internal/qcache ./internal/resp
 
-.PHONY: build test vet fmt-check docs bench race purego cover-check searchbench-smoke metrics-smoke flowbench-smoke clusterbench-smoke persistbench-smoke benchmark-smoke verify
+.PHONY: build test vet fmt-check docs bench race purego cover-check smoke benchmark-smoke verify
 
 build:
 	$(GO) build ./...
@@ -71,48 +71,33 @@ cover-check:
 		fi; \
 	done; exit $$fail
 
-# searchbench-smoke is the fast recall gate: a tiny corpus of real
-# description embeddings, hard floors on the tuned recall engine (recall@10
-# >= 0.9, never behind the fixed-nprobe baseline, RecallTarget=1.0 exactly
-# matches Flat). Seconds of wall clock, so recall regressions fail in CI,
-# not in a quarterly benchmark run.
-searchbench-smoke:
-	$(GO) run ./cmd/laminar-bench -searchbench-smoke
-
-# metrics-smoke is the telemetry gate: boot a metrics-enabled server on a
-# realistic corpus, issue searches over HTTP, scrape /metrics, and fail
-# when the probe/route histograms come back empty, the exposition stops
-# parsing, or docs/operations.md and the live endpoint disagree about
-# which metrics exist. Keeps the runbook's metric reference honest.
-metrics-smoke:
-	$(GO) run ./cmd/laminar-bench -metrics-smoke
-
-# flowbench-smoke is the dataflow gate: run one skewed 4-PE streaming
-# pipeline through all four mappings (plus a cost-weighted MULTI run),
-# asserting identical output multisets, populated laminar_flow_* telemetry,
-# a queue high-water mark bounded by QueueCap x instances, a settled
-# queue-depth gauge, and that a cyclic workflow is refused at registration
-# with HTTP 400 naming the defect.
-flowbench-smoke:
-	$(GO) run ./cmd/laminar-bench -flowbench-smoke
-
-# clusterbench-smoke is the distributed-serving gate: partition a small
-# corpus across three in-process shard nodes behind a scatter-gather
-# coordinator and fail when the 3-shard p50 exceeds 1.3x the single-node
-# baseline at 3x the corpus, when the merged top-10 drifts from a global
-# exact scan, when a killed primary's read replica fails to take over
-# cleanly, or when a killed replica-less shard produces errors instead of
-# flagged partial results.
-clusterbench-smoke:
-	$(GO) run ./cmd/laminar-bench -clusterbench-smoke
-
-# persistbench-smoke is the durability gate: drive a churning registry
-# through delta saves, compare delta-save vs full-save latency and bytes,
-# force a compaction, crash-reload through the journal chain, and fail when
-# the reloaded state diverges from the live one, when delta saves stop
-# being cheaper than full saves, or when compaction never triggers.
-persistbench-smoke:
-	$(GO) run ./cmd/laminar-bench -persistbench-smoke
+# smoke runs the five laminar-bench CI gates in one process (one compile
+# and link instead of five); the first failing gate fails the target.
+#   - searchbench-smoke, the recall gate: a tiny corpus of real description
+#     embeddings, hard floors on the tuned recall engine (recall@10 >= 0.9,
+#     never behind the fixed-nprobe baseline, RecallTarget=1.0 exactly
+#     matches Flat), hybrid never behind pure ANN on exact identifiers.
+#   - metrics-smoke, the telemetry gate: boot a metrics-enabled server on a
+#     realistic corpus, search over HTTP, scrape /metrics, and fail when
+#     the probe/route histograms come back empty, the exposition stops
+#     parsing, or docs/operations.md and the live endpoint disagree about
+#     which metrics exist.
+#   - flowbench-smoke, the dataflow gate: one skewed 4-PE pipeline through
+#     all four mappings (plus a cost-weighted MULTI run): identical output
+#     multisets, populated laminar_flow_* telemetry, a queue high-water mark
+#     bounded by QueueCap x instances, a settled queue-depth gauge, and a
+#     cyclic workflow refused at registration with a 400 naming the defect.
+#   - clusterbench-smoke, the distributed-serving gate: three in-process
+#     shards behind a coordinator; fails when the 3-shard p50 exceeds 1.3x
+#     the single-node baseline at 3x the corpus, the merged top-10 drifts
+#     from a global exact scan, a killed primary's replica fails to take
+#     over, or a killed replica-less shard errors instead of degrading.
+#   - persistbench-smoke, the durability gate: a churning registry through
+#     delta saves, a forced compaction and a crash-reload through the
+#     journal chain; fails when the reloaded state diverges, delta saves
+#     stop being cheaper than full saves, or compaction never triggers.
+smoke:
+	$(GO) run ./cmd/laminar-bench -searchbench-smoke -metrics-smoke -flowbench-smoke -clusterbench-smoke -persistbench-smoke
 
 # benchmark-smoke is the end-to-end gate: the repo's benchmark
 # (BENCHMARK.json, ./benchmark) boots the real laminar-server on a small
@@ -123,4 +108,4 @@ persistbench-smoke:
 benchmark-smoke:
 	$(GO) run ./benchmark smoke
 
-verify: build vet fmt-check docs test race purego cover-check searchbench-smoke metrics-smoke flowbench-smoke clusterbench-smoke persistbench-smoke benchmark-smoke
+verify: build vet fmt-check docs test race purego cover-check smoke benchmark-smoke

@@ -4,9 +4,12 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+
+	"laminar"
 )
 
 // knobRowRE matches the first cell of a docs/search.md knob-table row,
@@ -66,30 +69,55 @@ func TestIndexFlagsMatchDocumentedKnobs(t *testing.T) {
 }
 
 // TestFlagValidation pins the fail-fast ranges so a typo'd deployment
-// flag dies at startup, not at first query.
+// flag — or an embedder's typo'd option: both go through
+// laminar.ServerOptions.Validate — dies at startup, not at first query.
 func TestFlagValidation(t *testing.T) {
 	cases := []struct {
 		name string
-		mut  func(*serverConfig)
+		mut  func(*laminar.ServerOptions)
 		ok   bool
 	}{
-		{"defaults", func(c *serverConfig) {}, true},
-		{"clustered", func(c *serverConfig) { c.indexKind = "clustered" }, true},
-		{"bad index kind", func(c *serverConfig) { c.indexKind = "ivf" }, false},
-		{"target over 1", func(c *serverConfig) { c.indexRecallTarget = 1.5 }, false},
-		{"negative spill", func(c *serverConfig) { c.indexSpill = -0.1 }, false},
-		{"negative cooldown", func(c *serverConfig) { c.indexRetrainCooldown = -1 }, false},
-		{"bad store", func(c *serverConfig) { c.storeFormat = "v3" }, false},
-		{"hybrid search mode", func(c *serverConfig) { c.searchMode = "hybrid" }, true},
-		{"reranked search mode", func(c *serverConfig) { c.searchMode = "reranked" }, true},
-		{"bad search mode", func(c *serverConfig) { c.searchMode = "bm25" }, false},
+		{"defaults", func(o *laminar.ServerOptions) {}, true},
+		{"clustered", func(o *laminar.ServerOptions) { o.Index = "clustered" }, true},
+		{"bad index kind", func(o *laminar.ServerOptions) { o.Index = "ivf" }, false},
+		{"target over 1", func(o *laminar.ServerOptions) { o.IndexRecallTarget = 1.5 }, false},
+		{"negative spill", func(o *laminar.ServerOptions) { o.IndexSpill = -0.1 }, false},
+		{"negative cooldown", func(o *laminar.ServerOptions) { o.IndexRetrainCooldown = -1 }, false},
+		{"hybrid search mode", func(o *laminar.ServerOptions) { o.SearchMode = "hybrid" }, true},
+		{"reranked search mode", func(o *laminar.ServerOptions) { o.SearchMode = "reranked" }, true},
+		{"bad search mode", func(o *laminar.ServerOptions) { o.SearchMode = "bm25" }, false},
+		// What the façade used to clamp or accept silently.
+		{"whole-spill clamp", func(o *laminar.ServerOptions) { o.IndexSpill = -1 }, false},
+		{"negative cache", func(o *laminar.ServerOptions) { o.CacheSize = -1 }, false},
+		{"compact ratio over 1", func(o *laminar.ServerOptions) { o.DeltaCompactRatio = 2 }, false},
+		{"bad cidr", func(o *laminar.ServerOptions) { o.MetricsAllow = []string{"10.0.0.0/33"} }, false},
+		{"replica without registry", func(o *laminar.ServerOptions) { o.ReadOnlyReplica = true }, false},
 	}
 	for _, tc := range cases {
 		fs := flag.NewFlagSet("laminar-server", flag.ContinueOnError)
-		cfg := registerFlags(fs)
-		tc.mut(cfg)
-		if err := cfg.validate(); (err == nil) != tc.ok {
-			t.Errorf("%s: validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		opts, _ := registerFlags(fs)
+		tc.mut(opts)
+		if err := opts.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
 		}
+	}
+	// The zero value — what an embedder passes — is as valid as the flag
+	// defaults.
+	if err := (laminar.ServerOptions{}).Validate(); err != nil {
+		t.Errorf("zero ServerOptions: %v", err)
+	}
+}
+
+// TestMetricsAllowFlag: the list flag splits on commas, trims, and
+// accumulates across repeats.
+func TestMetricsAllowFlag(t *testing.T) {
+	fs := flag.NewFlagSet("laminar-server", flag.ContinueOnError)
+	opts, _ := registerFlags(fs)
+	if err := fs.Parse([]string{"-metrics-allow", "10.0.0.0/8, 127.0.0.0/8,", "-metrics-allow", "::1/128"}); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"10.0.0.0/8", "127.0.0.0/8", "::1/128"}
+	if !reflect.DeepEqual(opts.MetricsAllow, want) {
+		t.Fatalf("MetricsAllow = %q, want %q", opts.MetricsAllow, want)
 	}
 }

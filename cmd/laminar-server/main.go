@@ -21,27 +21,26 @@ import (
 )
 
 func main() {
-	cfg := registerFlags(flag.CommandLine)
+	opts, addr := registerFlags(flag.CommandLine)
 	flag.Parse()
-	if err := cfg.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		log.Fatalf("laminar-server: %v", err)
 	}
-	srv := laminar.NewServer(cfg.serverOptions())
-	url, err := srv.Start(cfg.addr)
+	srv := laminar.NewServer(*opts)
+	url, err := srv.Start(*addr)
 	if err != nil {
 		log.Fatalf("laminar-server: %v", err)
 	}
 	log.Printf("laminar-server: serving the Laminar API at %s (vector index: %s)", url, srv.Registry().IndexName())
-	if cfg.metrics {
+	if opts.Metrics {
 		log.Printf("laminar-server: telemetry exposed at %s/metrics", url)
 	}
-	if cfg.registryPath != "" {
+	if opts.RegistryPath != "" {
 		how := "rebuilt (no usable index snapshot)"
 		if srv.Registry().IndexesRestored() {
 			how = "restored from snapshot, no retrain"
 		}
-		log.Printf("laminar-server: registry persisted to %s as %s (indexes %s)",
-			cfg.registryPath, srv.Registry().StoreFormat(), how)
+		log.Printf("laminar-server: registry persisted to %s (indexes %s)", opts.RegistryPath, how)
 	}
 
 	stop := make(chan os.Signal, 1)

@@ -19,33 +19,23 @@ import (
 )
 
 // PersistBenchResult measures the registry's durability story end to end:
-// the v1-vs-v2 on-disk formats (save/load time, footprint), whether the
-// serving path keeps answering while a Save is in flight, the v1→v2
-// migration guarantee, restore-vs-rebuild cold start, and query latency
+// save time and footprint, whether the serving path keeps answering while
+// a Save is in flight, restore-vs-rebuild cold start, and query latency
 // during a live background retrain.
 type PersistBenchResult struct {
 	CorpusSize int
 
-	// On-disk format comparison at CorpusSize PEs.
-	V1SaveTime time.Duration
-	V1LoadTime time.Duration
-	V1Bytes    int64
-	V2SaveTime time.Duration
-	V2LoadTime time.Duration
-	V2Bytes    int64 // JSON + sidecar
+	// A full save at CorpusSize PEs.
+	SaveTime time.Duration
+	Bytes    int64 // JSON + sidecar
 
-	// Serving behaviour while a v2 Save runs: searches issued continuously
+	// Serving behaviour while a Save runs: searches issued continuously
 	// against the store from the moment Save starts until it returns. Under
 	// the historic world-lock Save, zero searches completed mid-Save; the
 	// sharded store keeps serving.
 	MidSaveSearches   int
 	MidSaveMeanQuery  time.Duration
 	MidSaveWorstQuery time.Duration
-
-	// Migration: a v1 file loaded by a default (v2) store must carry every
-	// record and restore its indexes with zero retrains.
-	MigrationLossless bool
-	MigrationRecords  int
 
 	// RestoreLoad is Load + settle with the index snapshot present (no
 	// k-means). The rebuild baseline (same snapshot with the index
@@ -112,9 +102,8 @@ func genUniformCorpus(size, queries, dim int) (corpus, qs [][]float32) {
 }
 
 // RunPersistBench builds a size-PE registry on the clustered index, saves
-// it in both formats, and measures the format comparison, mid-Save serving,
-// v1→v2 migration, restore-vs-rebuild cold start and query latency during a
-// live background retrain.
+// it, and measures the save, mid-Save serving, restore-vs-rebuild cold
+// start and query latency during a live background retrain.
 func RunPersistBench(size, queries int) (*PersistBenchResult, error) {
 	if size <= 0 {
 		size = 10000
@@ -151,38 +140,13 @@ func RunPersistBench(size, queries int) (*PersistBenchResult, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	// ---- format comparison: v1 vs v2 save/load time and footprint ----
-	v1Path := filepath.Join(dir, "registry-v1.json")
-	if err := s.SetStoreFormat("v1"); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	if err := s.Save(v1Path); err != nil {
-		return nil, err
-	}
-	res.V1SaveTime = time.Since(start)
-	if res.V1Bytes, err = storage.DiskSize(v1Path); err != nil {
-		return nil, err
-	}
-	v1Loader := registry.NewStore()
-	v1Loader.ConfigureIndex(clusteredBenchFactory())
-	start = time.Now()
-	if err := v1Loader.Load(v1Path); err != nil {
-		return nil, err
-	}
-	v1Loader.WaitIndexReady()
-	res.V1LoadTime = time.Since(start)
-
 	path := filepath.Join(dir, "registry.json")
-	if err := s.SetStoreFormat("v2"); err != nil {
-		return nil, err
-	}
-	start = time.Now()
+	start := time.Now()
 	if err := s.Save(path); err != nil {
 		return nil, err
 	}
-	res.V2SaveTime = time.Since(start)
-	if res.V2Bytes, err = storage.DiskSize(path); err != nil {
+	res.SaveTime = time.Since(start)
+	if res.Bytes, err = storage.DiskSize(path); err != nil {
 		return nil, err
 	}
 
@@ -220,32 +184,6 @@ func RunPersistBench(size, queries int) (*PersistBenchResult, error) {
 		res.MidSaveMeanQuery = midTotal / time.Duration(res.MidSaveSearches)
 	}
 
-	// ---- migration: the v1 file loads losslessly into a v2-default store
-	// with indexes restored (zero retrains), and saves as v2 ----
-	migrated := registry.NewStore()
-	migrated.ConfigureIndex(clusteredBenchFactory())
-	if err := migrated.Load(v1Path); err != nil {
-		return nil, err
-	}
-	res.MigrationRecords = len(migrated.PEsForUser(u.UserID))
-	migOK := res.MigrationRecords == size && migrated.IndexesRestored()
-	migPath := filepath.Join(dir, "registry-migrated.json")
-	if err := migrated.Save(migPath); err != nil {
-		return nil, err
-	}
-	if f, err := storage.DetectFormat(migPath); err != nil || f != storage.FormatV2 {
-		migOK = false
-	}
-	reloaded := registry.NewStore()
-	reloaded.ConfigureIndex(clusteredBenchFactory())
-	if err := reloaded.Load(migPath); err != nil {
-		return nil, err
-	}
-	if len(reloaded.PEsForUser(u.UserID)) != size || !reloaded.IndexesRestored() {
-		migOK = false
-	}
-	res.MigrationLossless = migOK
-
 	// ---- cold start with the index snapshot: restore, no k-means ----
 	r1 := registry.NewStore()
 	r1.ConfigureIndex(clusteredBenchFactory())
@@ -255,7 +193,6 @@ func RunPersistBench(size, queries int) (*PersistBenchResult, error) {
 	}
 	r1.WaitIndexReady()
 	res.RestoreLoad = time.Since(start)
-	res.V2LoadTime = res.RestoreLoad
 	if !r1.IndexesRestored() {
 		return nil, fmt.Errorf("persistbench: expected a snapshot restore, got a rebuild")
 	}
@@ -269,7 +206,7 @@ func RunPersistBench(size, queries int) (*PersistBenchResult, error) {
 	}
 	rawSnap.Indexes = nil
 	legacy := filepath.Join(dir, "registry-noindex.json")
-	if err := storage.Save(legacy, storage.FormatV2, rawSnap); err != nil {
+	if err := storage.Save(legacy, rawSnap); err != nil {
 		return nil, err
 	}
 	r2 := registry.NewStore()
@@ -345,23 +282,12 @@ func RunPersistBench(size, queries int) (*PersistBenchResult, error) {
 // Render formats the measurements as a text table.
 func (r *PersistBenchResult) Render() string {
 	var sb strings.Builder
-	sb.WriteString("Registry storage: v1 (monolithic JSON) vs v2 (streamed JSON + binary sidecar)\n")
-	fmt.Fprintf(&sb, "(%d PEs on the clustered index)\n", r.CorpusSize)
-	fmt.Fprintf(&sb, "  v1 save / load+settle:       %12v / %12v   (%7d KiB)\n",
-		r.V1SaveTime.Round(time.Millisecond), r.V1LoadTime.Round(time.Millisecond), r.V1Bytes/1024)
-	fmt.Fprintf(&sb, "  v2 save / load+settle:       %12v / %12v   (%7d KiB, json+sidecar)\n",
-		r.V2SaveTime.Round(time.Millisecond), r.V2LoadTime.Round(time.Millisecond), r.V2Bytes/1024)
-	if r.V2Bytes > 0 && r.V1Bytes > 0 {
-		fmt.Fprintf(&sb, "  v2/v1 footprint:             %12.2fx\n", float64(r.V2Bytes)/float64(r.V1Bytes))
-	}
-	fmt.Fprintf(&sb, "Serving during a v2 Save (sharded locks; no write lock across the marshal)\n")
+	fmt.Fprintf(&sb, "Registry storage (%d PEs on the clustered index)\n", r.CorpusSize)
+	fmt.Fprintf(&sb, "  full save:                   %12v   (%7d KiB, json+sidecar)\n",
+		r.SaveTime.Round(time.Millisecond), r.Bytes/1024)
+	fmt.Fprintf(&sb, "Serving during a Save (sharded locks; no write lock across the marshal)\n")
 	fmt.Fprintf(&sb, "  searches completed mid-Save: %12d  (mean %v, worst %v)\n",
 		r.MidSaveSearches, r.MidSaveMeanQuery.Round(time.Microsecond), r.MidSaveWorstQuery.Round(time.Microsecond))
-	migr := "LOSSLESS (all records, indexes restored, zero retrains)"
-	if !r.MigrationLossless {
-		migr = fmt.Sprintf("FAILED (%d records)", r.MigrationRecords)
-	}
-	fmt.Fprintf(&sb, "v1 → v2 migration:             %s\n", migr)
 	sb.WriteString("Index persistence: cold start from snapshot vs full rebuild\n")
 	fmt.Fprintf(&sb, "  load+settle with snapshot (restore):        %12v\n", r.RestoreLoad.Round(time.Microsecond))
 	fmt.Fprintf(&sb, "  rebuild, background retrains settled:       %12v  (%4.1fx, prefix-trained)\n",

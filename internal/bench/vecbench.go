@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"laminar/internal/embed"
-	"laminar/internal/index"
 	"laminar/internal/vecmath"
 )
 
@@ -49,12 +48,10 @@ func timeOp(iters int, f func()) time.Duration {
 }
 
 // RunVecBench measures the vecmath scoring kernels against their naive
-// scalar baselines at the serving dimensionality, then times batched
-// multi-query search against the sequential loop it amortizes — the
-// laminar-bench face of the `go test -bench` benchmarks in
-// internal/vecmath. It doubles as an integrity check: the exact kernel
-// must agree with the scalar reference bit for bit, and SearchBatch must
-// answer exactly what sequential Search calls would.
+// scalar baselines at the serving dimensionality — the laminar-bench face
+// of the `go test -bench` benchmarks in internal/vecmath. It doubles as an
+// integrity check: the exact kernel must agree with the scalar reference
+// bit for bit.
 func RunVecBench() (string, error) {
 	const dotIters = 200000
 	rng := rand.New(rand.NewSource(29))
@@ -94,28 +91,5 @@ func RunVecBench() (string, error) {
 	fmt.Fprintf(&sb, "  float32 dot     %11v  %12v  %7.2fx\n", scalarF, kernelF, ratio(scalarF, kernelF))
 	fmt.Fprintf(&sb, "  int8 dot (q8)   %11v  %12v  %7.2fx\n", scalarI, kernelI, ratio(scalarI, kernelI))
 	fmt.Fprintf(&sb, "  q8 vs exact dot: %.2fx cheaper per score\n", ratio(kernelF, kernelI))
-
-	// Batched multi-query search vs the sequential loop it amortizes.
-	const size, queries = 5000, 64
-	corpus, qs := GenPECorpus(size, queries)
-	cfg := index.ClusteredConfig{RecallTarget: 0, NProbe: 4, SpillRatio: 0.1, Overfetch: 4, Quantize: true}
-	clus := index.NewClustered(cfg)
-	for i, v := range corpus {
-		clus.Upsert(i+1, v)
-	}
-	clus.TrainNow()
-
-	seqPer, seqHits := timeQueries(clus, qs)
-	batchStart := time.Now()
-	batchHits := clus.SearchBatch(qs, 10, nil)
-	batchPer := time.Since(batchStart) / time.Duration(len(qs))
-	for i := range seqHits {
-		if fmt.Sprintf("%v", batchHits[i]) != fmt.Sprintf("%v", seqHits[i]) {
-			return sb.String(), fmt.Errorf("SearchBatch diverged from sequential Search on query %d", i)
-		}
-	}
-	fmt.Fprintf(&sb, "\nBatched search: %d queries over %d vectors (%s)\n", queries, size, describeKnobs(cfg))
-	fmt.Fprintf(&sb, "  sequential  %v/query\n", seqPer.Round(time.Microsecond))
-	fmt.Fprintf(&sb, "  batched     %v/query  (%.2fx)\n", batchPer.Round(time.Microsecond), ratio(seqPer, batchPer))
 	return sb.String(), nil
 }

@@ -33,7 +33,8 @@ type ClusteredConfig struct {
 	// with the target; see patienceFor). At 1.0 only the proof rule may
 	// stop the scan, so the search returns exactly the Flat answer —
 	// unless MaxProbe truncates it first (the budget always wins). 0 (the
-	// default) keeps the historic fixed-NProbe behavior.
+	// default) scans exactly NProbe shards: the same loop with floor = cap
+	// and so no stop rule.
 	RecallTarget float64
 	// MaxProbe caps how many shards an adaptive query may scan — a hard
 	// latency budget for worst-case queries that overrides the recall
@@ -376,7 +377,7 @@ func (ts *trainedSet) insert(cfg ClusteredConfig, id int, v []float32) {
 	if d1 > ts.radii[best] {
 		ts.radii[best] = d1
 	}
-	if len(ts.qradii) == len(ts.radii) && d1 > ts.qradii[best] {
+	if d1 > ts.qradii[best] {
 		ts.qradii[best] = d1
 	}
 	if cfg.SpillRatio > 0 && second >= 0 {
@@ -386,7 +387,7 @@ func (ts *trainedSet) insert(cfg ClusteredConfig, id int, v []float32) {
 			if d2 > ts.radii[second] {
 				ts.radii[second] = d2
 			}
-			if len(ts.qradii) == len(ts.radii) && d2 > ts.qradii[second] {
+			if d2 > ts.qradii[second] {
 				ts.qradii[second] = d2
 			}
 		}
@@ -769,21 +770,46 @@ func (c *Clustered) candidatePoolLocked(k int) (poolK int, quantized bool) {
 // rule stays a proof rather than a heuristic.
 func boundPad(r float64) float64 { return 1e-5*r + 1e-9 }
 
-// nprobeLocked resolves the configured fixed probe count against the live
-// centroid set.
-func (c *Clustered) nprobeLocked() int {
-	p := c.cfg.NProbe
+// probePlan is how far one query walks the best-first shard order: the
+// first floor shards are always scanned, the stop rules may end the walk
+// anywhere in [floor, cap), and reaching cap ends it with capRule as the
+// attribution.
+type probePlan struct {
+	floor, cap int
+	capRule    string
+	// exact: only the proof rule may stop the walk, over max-radius bounds
+	// in best-bound-first order (RecallTarget 1.0).
+	exact bool
+	// patience arms the diminishing-returns rule when > 0.
+	patience int
+}
+
+// probePlanLocked resolves the probe knobs against the live centroid set.
+// The fixed regime (no RecallTarget) is the plan with floor = cap = NProbe
+// (0 chooses centroids/4): every stop rule sits behind the floor, so none
+// is ever consulted and the walk scans exactly that many shards.
+func (c *Clustered) probePlanLocked() probePlan {
 	n := len(c.trained.centroids)
-	if p <= 0 {
-		p = n / 4
+	target := c.cfg.RecallTarget
+	if target == 0 {
+		p := c.cfg.NProbe
+		if p <= 0 {
+			p = n / 4
+		}
+		p = min(max(p, 1), n)
+		return probePlan{floor: p, cap: p, capRule: StopFixed}
 	}
-	if p < 1 {
-		p = 1
+	// An adaptive walk that runs out of shards degenerated to a full probe;
+	// one the MaxProbe budget truncates says so.
+	plan := probePlan{floor: max(c.cfg.NProbe, 1), cap: n, capRule: StopExhausted, exact: target >= 1}
+	if mp := c.cfg.MaxProbe; mp > 0 && mp < n {
+		plan.cap, plan.capRule = mp, StopBudget
 	}
-	if p > n {
-		p = n
+	plan.floor = min(plan.floor, plan.cap)
+	if !plan.exact {
+		plan.patience = patienceFor(target)
 	}
-	return p
+	return plan
 }
 
 // probeTarget is one shard in a query's visit plan: its centroid index, the
@@ -815,16 +841,17 @@ func patienceFor(target float64) int {
 // corpus is brute-scanned, which is both exact and cheap at that scale.
 // With a clustering live the query runs the probe → (rescore) pipeline:
 //
-//  1. Probe selection. With RecallTarget unset, the NProbe shards with the
-//     most similar centroids are scanned — the historic fixed policy. With
-//     RecallTarget set, shards are visited best-first and the loop stops
-//     early on the proof rule (the kth-best candidate exceeds every
-//     remaining shard's score upper bound, so stopping loses nothing) or,
-//     below target 1.0, the diminishing-returns rule (target-scaled
-//     patience ran out with no top-k improvement) — bounded below by
-//     NProbe and above by MaxProbe. At target 1.0 only the proof rule
-//     stops the scan, so with no MaxProbe cap the answer equals Flat's
-//     exactly (the budget, when set, always wins over the target).
+//  1. Probe selection. Shards are visited best-first between a floor and
+//     a cap (see probePlanLocked). With RecallTarget set the floor is
+//     NProbe, the cap MaxProbe, and between them the loop stops early on
+//     the proof rule (the kth-best candidate exceeds every remaining
+//     shard's score upper bound, so stopping loses nothing) or, below
+//     target 1.0, the diminishing-returns rule (target-scaled patience
+//     ran out with no top-k improvement). At target 1.0 only the proof
+//     rule stops the scan, so with no MaxProbe cap the answer equals
+//     Flat's exactly (the budget, when set, always wins over the target).
+//     With RecallTarget unset floor = cap = NProbe: the same loop with no
+//     room for a stop rule, scanning the NProbe most similar shards.
 //  2. Candidate scoring. Shard members are scored with the shared exact dot
 //     product, or — with Quantize — with the int8 companion's dot product,
 //     keeping the best k·Overfetch. Spilled (replicated) members are
@@ -843,9 +870,7 @@ func (c *Clustered) Search(query []float32, k int, filter Filter) []Candidate {
 	return c.searchLocked(query, k, filter)
 }
 
-// searchLocked is Search's body, factored out so SearchBatch can answer
-// many queries under a single lock acquisition. Callers hold c.mu (read
-// or write).
+// searchLocked is Search's body. Callers hold c.mu (read or write).
 func (c *Clustered) searchLocked(query []float32, k int, filter Filter) []Candidate {
 	if k <= 0 {
 		return []Candidate{}
@@ -865,7 +890,7 @@ func (c *Clustered) searchLocked(query []float32, k int, filter Filter) []Candid
 		return top.Sorted()
 	}
 	ts := c.trained
-	adaptive := c.cfg.RecallTarget > 0
+	plan := c.probePlanLocked()
 
 	poolK, quantized := c.candidatePoolLocked(k)
 	var qCodes []int8
@@ -875,10 +900,11 @@ func (c *Clustered) searchLocked(query []float32, k int, filter Filter) []Candid
 	}
 
 	pool := NewTopK(poolK)
-	// gate tracks the kth-best score seen, feeding the adaptive stop rule;
-	// when the pool is not widened it IS the pool.
+	// gate tracks the kth-best score seen, feeding the stop rules; when the
+	// pool is not widened it IS the pool, and a plan that can never consult
+	// a stop rule needs none.
 	gate := pool
-	if adaptive && poolK != k {
+	if poolK != k && plan.floor < plan.cap {
 		gate = NewTopK(k)
 	}
 	var seen map[int]bool // lazy: only spilled ids can be met twice
@@ -916,115 +942,80 @@ func (c *Clustered) searchLocked(query []float32, k int, filter Filter) []Candid
 			gate.Push(cand)
 		}
 	}
-	probes := 0 // shards visited (observability)
-	stopRule := StopFixed
 
-	if !adaptive {
-		probe := NewTopK(c.nprobeLocked())
-		for ci, cent := range ts.centroids {
-			probe.Push(Candidate{ID: ci, Score: dot(query, cent)})
+	targets := make([]probeTarget, len(ts.centroids))
+	for ci, cent := range ts.centroids {
+		cs := dot(query, cent)
+		// Exact scans bound each shard by its max radius — the provable
+		// cap the proof rule needs. Approximate scans use the p95
+		// quantile radius instead: a single outlier member can no longer
+		// hold a shard's bound open, so the stop rules fire sooner, and
+		// the members past the quantile are exactly the kind of long-shot
+		// candidates a sub-1.0 target has already agreed to trade away.
+		r := ts.qradii[ci]
+		if plan.exact {
+			r = ts.radii[ci]
 		}
-		for _, p := range probe.Sorted() {
-			probes++
-			for _, id := range ts.shards[p.ID] {
-				scanID(id)
-			}
+		targets[ci] = probeTarget{ci: ci, score: cs, bound: cs + r + boundPad(r)}
+	}
+	// An exact scan visits shards best-bound-first so the provable stop
+	// rule sees a monotone bound sequence; every other one visits
+	// best-centroid-first, which concentrates the likely hits up front
+	// (a shard with an outlier-inflated radius must not jump the queue).
+	sort.Slice(targets, func(i, j int) bool {
+		a, b := targets[i], targets[j]
+		if plan.exact && a.bound != b.bound {
+			return a.bound > b.bound
 		}
-	} else {
-		exact := c.cfg.RecallTarget >= 1
-		targets := make([]probeTarget, len(ts.centroids))
-		for ci, cent := range ts.centroids {
-			cs := dot(query, cent)
-			// Exact scans bound each shard by its max radius — the provable
-			// cap the proof rule needs. Approximate scans use the p95
-			// quantile radius instead: a single outlier member can no longer
-			// hold a shard's bound open, so the stop rules fire sooner, and
-			// the members past the quantile are exactly the kind of long-shot
-			// candidates a sub-1.0 target has already agreed to trade away.
-			r := ts.radii[ci]
-			if !exact && len(ts.qradii) == len(ts.radii) {
-				r = ts.qradii[ci]
-			}
-			targets[ci] = probeTarget{ci: ci, score: cs, bound: cs + r + boundPad(r)}
+		if !plan.exact && a.score != b.score {
+			return a.score > b.score
 		}
-		// An exact scan visits shards best-bound-first so the provable stop
-		// rule sees a monotone bound sequence; an approximate one visits
-		// best-centroid-first, which concentrates the likely hits up front
-		// (a shard with an outlier-inflated radius must not jump the queue).
-		sort.Slice(targets, func(i, j int) bool {
-			a, b := targets[i], targets[j]
-			if exact && a.bound != b.bound {
-				return a.bound > b.bound
-			}
-			if !exact && a.score != b.score {
-				return a.score > b.score
-			}
-			return a.ci < b.ci
-		})
-		// suffixBound[i] caps every score reachable from shard i onward.
-		suffixBound := make([]float64, len(targets)+1)
-		suffixBound[len(targets)] = math.Inf(-1)
-		for i := len(targets) - 1; i >= 0; i-- {
-			suffixBound[i] = math.Max(suffixBound[i+1], targets[i].bound)
-		}
-		minProbe := c.cfg.NProbe
-		if minProbe < 1 {
-			minProbe = 1
-		}
-		maxProbe := c.cfg.MaxProbe
-		if maxProbe <= 0 || maxProbe > len(targets) {
-			maxProbe = len(targets)
-		}
-		if minProbe > maxProbe {
-			minProbe = maxProbe
-		}
-		patience := 0
-		if !exact {
-			patience = patienceFor(c.cfg.RecallTarget)
-		}
-		// An adaptive scan that runs out of shards degenerated to a full
-		// probe; every early break below overwrites this attribution.
-		stopRule = StopExhausted
-		unimproved := 0
-		for i, t := range targets {
-			if i >= maxProbe {
-				stopRule = StopBudget
+		return a.ci < b.ci
+	})
+	// suffixBound[i] caps every score reachable from shard i onward.
+	suffixBound := make([]float64, len(targets)+1)
+	suffixBound[len(targets)] = math.Inf(-1)
+	for i := len(targets) - 1; i >= 0; i-- {
+		suffixBound[i] = math.Max(suffixBound[i+1], targets[i].bound)
+	}
+	// Every early break below overwrites this attribution.
+	stopRule := plan.capRule
+	unimproved := 0
+	probes := 0 // shards visited (observability)
+	for i, t := range targets[:plan.cap] {
+		if i >= plan.floor {
+			worst, full := gate.Worst()
+			// The proof rule: nothing in any remaining shard can reach
+			// the kth-best score, so stopping loses nothing. This is the
+			// only rule an exact (target 1.0) scan may stop on. It is
+			// unsound over quantized scores (they can drift either way
+			// of the full dot the bounds cap), so it only runs when the
+			// gate holds exact scores.
+			if full && !quantized && worst.Score > suffixBound[i] {
+				stopRule = StopProof
 				break
 			}
-			if i >= minProbe {
-				worst, full := gate.Worst()
-				// The proof rule: nothing in any remaining shard can reach
-				// the kth-best score, so stopping loses nothing. This is the
-				// only rule an exact (target 1.0) scan may stop on. It is
-				// unsound over quantized scores (they can drift either way
-				// of the full dot the bounds cap), so it only runs when the
-				// gate holds exact scores.
-				if full && !quantized && worst.Score > suffixBound[i] {
-					stopRule = StopProof
-					break
-				}
-				// The diminishing-returns rule: enough consecutive shards
-				// contributed nothing to the top-k that the rest are
-				// unlikely to either. Patience scales with the target.
-				// (Unlike the proof rule this is score-scale-free — it only
-				// compares gate scores to each other — so quantized scoring
-				// does not affect its validity, just its sharpness.)
-				if !exact && full && unimproved >= patience {
-					stopRule = StopPatience
-					break
-				}
+			// The diminishing-returns rule: enough consecutive shards
+			// contributed nothing to the top-k that the rest are
+			// unlikely to either. Patience scales with the target.
+			// (Unlike the proof rule this is score-scale-free — it only
+			// compares gate scores to each other — so quantized scoring
+			// does not affect its validity, just its sharpness.)
+			if plan.patience > 0 && full && unimproved >= plan.patience {
+				stopRule = StopPatience
+				break
 			}
-			prevWorst, prevFull := gate.Worst()
-			probes++
-			for _, id := range ts.shards[t.ci] {
-				scanID(id)
-			}
-			if !exact {
-				if worst, full := gate.Worst(); full && prevFull && worst.Score <= prevWorst.Score {
-					unimproved++
-				} else {
-					unimproved = 0
-				}
+		}
+		prevWorst, prevFull := gate.Worst()
+		probes++
+		for _, id := range ts.shards[t.ci] {
+			scanID(id)
+		}
+		if plan.patience > 0 {
+			if worst, full := gate.Worst(); full && prevFull && worst.Score <= prevWorst.Score {
+				unimproved++
+			} else {
+				unimproved = 0
 			}
 		}
 	}
@@ -1053,179 +1044,6 @@ func (c *Clustered) rescoreLocked(query []float32, pool *TopK, k int) []Candidat
 		}
 	}
 	return final.Sorted()
-}
-
-// SearchBatch answers every query under a single lock acquisition,
-// amortizing the shared scan work across the batch. Results are identical
-// to calling Search once per query (the top-k selection is a strict total
-// order — score descending, id ascending — so it is insensitive to visit
-// order, which is the only thing batching changes):
-//
-//   - Untrained (brute-scan) corpus: the vector map is iterated ONCE and
-//     each vector is scored against every query, instead of len(queries)
-//     full map walks.
-//   - Fixed-probe clustering (RecallTarget unset): per-query probe plans
-//     are inverted into a shard → subscribed-queries map, so each probed
-//     shard's members are fetched and spill-checked once and scored only
-//     for the queries that probed that shard.
-//   - Adaptive probing (RecallTarget set): each query's stop rule depends
-//     on its own evolving top-k, so shard visits cannot be shared without
-//     changing which shards get visited; the batch degenerates to a
-//     sequential loop that still saves the per-query lock round-trips.
-func (c *Clustered) SearchBatch(queries [][]float32, k int, filter Filter) [][]Candidate {
-	out := make([][]Candidate, len(queries))
-	if len(queries) == 0 {
-		return out
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	c.metrics.observeBatch(len(queries))
-	if k <= 0 {
-		for i := range out {
-			out[i] = []Candidate{}
-		}
-		return out
-	}
-	switch {
-	case c.trained == nil:
-		c.searchBatchBruteLocked(queries, k, filter, out)
-	case c.cfg.RecallTarget > 0:
-		for i, q := range queries {
-			out[i] = c.searchLocked(q, k, filter)
-		}
-	default:
-		c.searchBatchFixedLocked(queries, k, filter, out)
-	}
-	return out
-}
-
-// searchBatchBruteLocked is the untrained-corpus batch path: one walk of
-// the vector map, every vector scored (exactly) against every query.
-func (c *Clustered) searchBatchBruteLocked(queries [][]float32, k int, filter Filter, out [][]Candidate) {
-	met := c.metrics
-	tops := make([]*TopK, len(queries))
-	for i := range tops {
-		tops[i] = NewTopK(k)
-	}
-	scanned := 0
-	for id, v := range c.vecs {
-		if filter != nil && !filter(id) {
-			continue
-		}
-		scanned++
-		for qi, q := range queries {
-			tops[qi].Push(Candidate{ID: id, Score: dot(q, v)})
-		}
-	}
-	for i, t := range tops {
-		met.observeQuery(0, scanned, StopBrute)
-		out[i] = t.Sorted()
-	}
-}
-
-// searchBatchFixedLocked is the fixed-NProbe batch path. Each query's
-// probe plan is computed as Search would, then inverted: for every probed
-// shard, the member vectors are fetched and spill-checked once and scored
-// for each query subscribed to that shard. Scoring mode (quantized or
-// exact) and the final rescore follow searchLocked exactly.
-func (c *Clustered) searchBatchFixedLocked(queries [][]float32, k int, filter Filter, out [][]Candidate) {
-	met := c.metrics
-	ts := c.trained
-
-	poolK, quantized := c.candidatePoolLocked(k)
-
-	type qstate struct {
-		query   []float32
-		pool    *TopK
-		seen    map[int]bool // lazy spill dedup, as in searchLocked
-		scanned int
-		qcodes  []int8
-		qscale  float32
-	}
-	states := make([]qstate, len(queries))
-	for qi, q := range queries {
-		st := &states[qi]
-		st.query = q
-		st.pool = NewTopK(poolK)
-		if quantized {
-			st.qcodes, st.qscale = vecmath.Quantize(q)
-		}
-	}
-
-	// Invert the probe plans: shard → query indexes probing it.
-	nprobe := c.nprobeLocked()
-	subs := map[int][]int{}
-	for qi := range states {
-		probe := NewTopK(nprobe)
-		for ci, cent := range ts.centroids {
-			probe.Push(Candidate{ID: ci, Score: dot(states[qi].query, cent)})
-		}
-		for _, p := range probe.Sorted() {
-			subs[p.ID] = append(subs[p.ID], qi)
-		}
-	}
-
-	scanFor := func(st *qstate, id int, v []float32, spilled bool) {
-		if spilled {
-			if st.seen[id] {
-				return
-			}
-			if st.seen == nil {
-				st.seen = map[int]bool{}
-			}
-			st.seen[id] = true
-		}
-		st.scanned++
-		s, qok := 0.0, false
-		if quantized {
-			s, qok = c.qset.Dot(st.qcodes, st.qscale, id)
-		}
-		if !qok {
-			s = dot(st.query, v)
-		}
-		st.pool.Push(Candidate{ID: id, Score: s})
-	}
-
-	for ci, qis := range subs {
-		for _, id := range ts.shards[ci] {
-			if filter != nil && !filter(id) {
-				continue
-			}
-			v, ok := c.vecs[id]
-			if !ok {
-				continue
-			}
-			_, spilled := ts.spill[id]
-			for _, qi := range qis {
-				scanFor(&states[qi], id, v, spilled)
-			}
-		}
-	}
-	// The exact overflow buffer is scanned by every query, as in Search.
-	for id := range c.overflow {
-		if filter != nil && !filter(id) {
-			continue
-		}
-		v, ok := c.vecs[id]
-		if !ok {
-			continue
-		}
-		_, spilled := ts.spill[id]
-		for qi := range states {
-			scanFor(&states[qi], id, v, spilled)
-		}
-	}
-
-	for qi := range states {
-		st := &states[qi]
-		met.observeQuery(nprobe, st.scanned, StopFixed)
-		if !quantized {
-			out[qi] = st.pool.Sorted()
-			continue
-		}
-		met.observeQuantized()
-		out[qi] = c.rescoreLocked(st.query, st.pool, k)
-	}
 }
 
 // Snapshot captures the trained structure (centroids + shard assignments,

@@ -107,25 +107,3 @@ type Factory func() VectorIndex
 func dot(a, b []float32) float64 {
 	return vecmath.Dot(a, b)
 }
-
-// BatchSearcher is the optional batched-execution extension of
-// VectorIndex: answer many queries under one lock acquisition, amortizing
-// centroid probing and shard visits across the batch where the index's
-// probe policy allows. Results are identical to calling Search per query.
-type BatchSearcher interface {
-	SearchBatch(queries [][]float32, k int, filter Filter) [][]Candidate
-}
-
-// SearchBatchOf answers every query against idx, using the index's native
-// batched execution when it implements BatchSearcher and there is more
-// than one query to amortize over, and sequential Search calls otherwise.
-func SearchBatchOf(idx VectorIndex, queries [][]float32, k int, filter Filter) [][]Candidate {
-	if b, ok := idx.(BatchSearcher); ok && len(queries) > 1 {
-		return b.SearchBatch(queries, k, filter)
-	}
-	out := make([][]Candidate, len(queries))
-	for i, q := range queries {
-		out[i] = idx.Search(q, k, filter)
-	}
-	return out
-}

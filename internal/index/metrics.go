@@ -23,8 +23,8 @@ const (
 	// rule firing — the query was hard enough to degenerate to a full
 	// probe.
 	StopExhausted = "exhausted"
-	// StopFixed: the historic fixed-NProbe policy (no RecallTarget); the
-	// probe count is a constant, not a per-query decision.
+	// StopFixed: the fixed-NProbe plan (no RecallTarget) ran to its cap;
+	// the probe count is a constant, not a per-query decision.
 	StopFixed = "fixed-nprobe"
 	// StopBrute: no clustering is live yet (corpus below the training
 	// threshold or first training still pending); the query brute-scanned
@@ -55,8 +55,6 @@ type ClusteredMetrics struct {
 	// QuantizedScans counts queries whose candidate pass ran over the int8
 	// quantized companion set instead of full float dot products.
 	QuantizedScans *telemetry.Counter
-	// BatchSize observes the number of queries in each SearchBatch call.
-	BatchSize *telemetry.Histogram
 }
 
 // observeQuery records one search's probe cost and stop attribution.
@@ -82,14 +80,6 @@ func (m *ClusteredMetrics) observeQuantized() {
 		return
 	}
 	m.QuantizedScans.Inc()
-}
-
-// observeBatch records one SearchBatch call's query count.
-func (m *ClusteredMetrics) observeBatch(n int) {
-	if m == nil || m.BatchSize == nil {
-		return
-	}
-	m.BatchSize.Observe(float64(n))
 }
 
 // observeRetrain records one completed retrain and its duration.

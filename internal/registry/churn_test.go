@@ -2,14 +2,14 @@ package registry
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"laminar/internal/core"
-	"laminar/internal/registry/storage"
 )
 
 // The churn wall: randomized add/remove/replace/search/save interleavings,
@@ -18,20 +18,20 @@ import (
 // the same live state. Run under -race it doubles as a locking audit of the
 // dirty-tracking and journal paths.
 
-// recordBytes serializes a store's record state deterministically. Trained
-// index structure and lexical postings are stripped: a restore and a replay
-// legitimately build different internal shapes over the same records, and
-// search equivalence is asserted separately.
-func recordBytes(t *testing.T, s *Store, dir, name string) []byte {
+// recordBytes serializes a store's record state deterministically (records
+// by id; encoding/json sorts the map keys). Trained index structure and
+// lexical postings are stripped: a restore and a replay legitimately build
+// different internal shapes over the same records, and search equivalence
+// is asserted separately.
+func recordBytes(t *testing.T, s *Store) []byte {
 	t.Helper()
 	snap, _ := s.collectSnapshot()
 	snap.Indexes = nil
 	snap.Lexical = nil
-	p := filepath.Join(dir, name)
-	if err := storage.Save(p, storage.FormatV1, snap); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(p)
+	sort.Slice(snap.Users, func(i, j int) bool { return snap.Users[i].UserID < snap.Users[j].UserID })
+	sort.Slice(snap.PEs, func(i, j int) bool { return snap.PEs[i].PEID < snap.PEs[j].PEID })
+	sort.Slice(snap.Workflows, func(i, j int) bool { return snap.Workflows[i].WorkflowID < snap.Workflows[j].WorkflowID })
+	data, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +131,8 @@ func TestChurnWallDeltaReloadMatchesFullSave(t *testing.T) {
 				t.Fatalf("load via full save: %v", err)
 			}
 
-			got := recordBytes(t, viaDeltas, dir, "via-deltas.json")
-			want := recordBytes(t, viaFull, dir, "via-full.json")
+			got := recordBytes(t, viaDeltas)
+			want := recordBytes(t, viaFull)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("delta-chain reload diverged from full-save reload (%d vs %d bytes)", len(got), len(want))
 			}

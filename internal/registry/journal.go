@@ -156,14 +156,15 @@ func (s *Store) DeltaChainInfo() (segments uint64, bytes int64) {
 
 // SaveDelta persists the changes since the last save as one journal
 // segment when that is cheap and sound, and as a full snapshot otherwise
-// (no delta-capable base yet, v1 format, compaction threshold passed, or a
-// change set so large a delta would not pay). It is the save entry point
-// churn-driven owners (the ingestor, periodic saves) should prefer: cost
-// scales with what changed, not with corpus size.
+// (no delta-capable base at this path yet — nothing saved there, or a v1
+// file loaded from it — compaction threshold passed, or a change set so
+// large a delta would not pay). It is the save entry point churn-driven
+// owners (the ingestor, periodic saves) should prefer: cost scales with
+// what changed, not with corpus size.
 func (s *Store) SaveDelta(path string) error {
 	s.saveMu.Lock()
 	defer s.saveMu.Unlock()
-	if s.format() != storage.FormatV2 || s.chainPath != path || s.chain.BaseSum == "" {
+	if s.chainPath != path || s.chain.BaseSum == "" {
 		return s.saveFullLocked(path, false)
 	}
 	pol := s.deltaPolicy
@@ -223,7 +224,7 @@ func (s *Store) saveFullLocked(path string, compaction bool) error {
 	m := s.instruments()
 	start := time.Now()
 	snap, captured := s.collectSnapshot()
-	err := storage.Save(path, s.format(), snap)
+	err := storage.Save(path, snap)
 	if err != nil {
 		s.mergeDirty(captured)
 		if m != nil {

@@ -134,7 +134,7 @@ func TestLexicalSnapshotRestoreEqualsRebuild(t *testing.T) {
 	}
 	snap.Lexical = nil
 	bare := filepath.Join(t.TempDir(), "bare.json")
-	if err := storage.Save(bare, storage.FormatV2, snap); err != nil {
+	if err := storage.Save(bare, snap); err != nil {
 		t.Fatal(err)
 	}
 	rebuilt := loadedStore(t, bare)

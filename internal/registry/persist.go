@@ -18,30 +18,7 @@ import (
 // — formats, streaming, the binary sidecar, atomicity — belongs to
 // internal/registry/storage.
 
-// SetStoreFormat selects the on-disk format Save writes: "v2" (the
-// default: streamed JSON + binary vector sidecar) or "v1" (the legacy
-// monolithic JSON document). Load always auto-detects, so a v1 file loaded
-// by a v2-configured store is migrated in place by its next Save.
-func (s *Store) SetStoreFormat(name string) error {
-	f, err := storage.ParseFormat(name)
-	if err != nil {
-		return err
-	}
-	s.storeFormat.Store(int32(f))
-	return nil
-}
-
-// StoreFormat reports the configured on-disk format name.
-func (s *Store) StoreFormat() string { return s.format().String() }
-
-func (s *Store) format() storage.Format {
-	if f := storage.Format(s.storeFormat.Load()); f != 0 {
-		return f
-	}
-	return storage.FormatV2
-}
-
-// Save writes the registry to path in the configured format. No shard
+// Save writes the registry to path as a v2 snapshot pair. No shard
 // write lock is ever involved and no shard lock at all is held while
 // marshaling: collectSnapshot copies the state under the shard read locks
 // (concurrent searches keep running; writers wait only for the copy, not

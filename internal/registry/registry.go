@@ -22,8 +22,8 @@
 // Ranked retrieval has one entry, Store.Search (search.go): an optional
 // vector leg and an optional lexical leg, reciprocal-rank fusion of the
 // two, an optional cross-encoder rerank — which of them run is the
-// Query's Mode — for one Input or a batch that shares the locks and the
-// index probes. CompletionSearch, SemanticSearchBoth and HybridSearch are
+// Query's Mode — for one Input or a batch that shares the WAN hop and the
+// lock span. CompletionSearch, SemanticSearchBoth and HybridSearch are
 // one-line calls into it, kept for the repo's benchmark.
 //
 // The paper hosts the registry on a remote web-based MySQL service; this
@@ -105,9 +105,6 @@ type Store struct {
 	// every fresh index (guarded by idxMu).
 	metrics *storeMetrics
 
-	// storeFormat selects the on-disk snapshot format Save writes
-	// (storage.Format; 0 = the current default, v2).
-	storeFormat atomic.Int32
 	// saveMu serializes Save calls. The shard locks make the state *copy*
 	// safe, but two interleaved v2 installs to the same path could each
 	// sweep the sidecar the other's JSON references; one save at a time

@@ -3,6 +3,7 @@ package registry
 import (
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -660,7 +661,7 @@ func TestLoadStaleSnapshotFallsBackToRebuild(t *testing.T) {
 	}
 	editedID := snap.PEs[0].PEID
 	snap.PEDescVecs[editedID] = []float32{0, 0, 1}
-	if err := storage.Save(path, storage.FormatV2, snap); err != nil {
+	if err := storage.Save(path, snap); err != nil {
 		t.Fatal(err)
 	}
 
@@ -681,34 +682,36 @@ func TestLoadStaleSnapshotFallsBackToRebuild(t *testing.T) {
 }
 
 // TestV1ToV2MigrationRoundTrip is the serving-layer migration guarantee:
-// a registry persisted in the legacy v1 format loads into a fresh store
-// with its trained indexes restored (zero retrains), and the next Save —
-// the store's default being v2 — migrates it to the layered format without
-// losing a record or a search result.
+// a registry file in the legacy v1 format — storage/testdata/v1/registry.json,
+// the bytes a clustered deployment of populate(200) wrote before the v1
+// writer was deleted — loads into a fresh store with its trained indexes
+// restored from the embedded snapshots (zero retrains), and the next Save
+// or SaveDelta migrates it to the layered format without losing a record
+// or a search result.
 func TestV1ToV2MigrationRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	v1Path := filepath.Join(dir, "legacy.json")
+	golden, err := os.ReadFile(filepath.Join("storage", "testdata", "v1", "registry.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(v1Path, golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := storage.DetectFormat(v1Path); err != nil || f != storage.FormatV1 {
+		t.Fatalf("golden file format: %v (%v)", f, err)
+	}
+	// What the file must serve is stated independently of it: the same
+	// corpus in an exact index. The query's top 10 sit well inside the 3
+	// shards the restored clustering probes, so exact is also what the
+	// restored approximate index must answer.
 	s := NewStore()
-	s.ConfigureIndex(clusteredFactory())
 	u := populate(t, s, 200)
-	s.WaitIndexReady()
-	if err := s.SetStoreFormat("v1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save(v1Path); err != nil {
-		t.Fatal(err)
-	}
-	if f, _, err := storage.Load(v1Path); err != nil {
-		t.Fatal(err)
-	} else if len(f.PEs) != 200 {
-		t.Fatalf("v1 file carries %d PEs", len(f.PEs))
-	}
 	query := []float32{0.6, -0.4, 0.2}
 	wantPE := pesByDesc(s, u.UserID, query, 10)
 	wantWF := wfsByDesc(s, u.UserID, query, 10)
 
-	// Load the v1 file into a default-format (v2) store: lossless, indexes
-	// restored with zero k-means.
+	// Load the v1 file: lossless, indexes restored with zero k-means.
 	mid := NewStore()
 	mid.ConfigureIndex(clusteredFactory())
 	if err := mid.Load(v1Path); err != nil {
@@ -724,7 +727,29 @@ func TestV1ToV2MigrationRoundTrip(t *testing.T) {
 		t.Fatalf("v1 load diverged:\n got %+v\nwant %+v", got, wantPE)
 	}
 
-	// One-shot migration: the first Save writes v2 (JSON + sidecar).
+	// A v1 file cannot anchor a journal, so the first incremental save
+	// after loading one is a full v2 base; the journal starts after it.
+	if err := mid.SaveDelta(v1Path); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := storage.DetectFormat(v1Path); err != nil || f != storage.FormatV2 {
+		t.Fatalf("SaveDelta over a v1 file left format %v (%v)", f, err)
+	}
+	if segs, _ := mid.DeltaChainInfo(); segs != 0 {
+		t.Fatalf("SaveDelta over a v1 file journaled %d segments before writing a base", segs)
+	}
+	addEmbeddedPE(t, mid, u.UserID, "journaled", "pe", []float32{0, 0, 1})
+	if err := mid.SaveDelta(v1Path); err != nil {
+		t.Fatal(err)
+	}
+	if segs, _ := mid.DeltaChainInfo(); segs != 1 {
+		t.Fatalf("second SaveDelta journaled %d segments, want 1", segs)
+	}
+	if err := mid.RemovePEByName(u.UserID, "journaled"); err != nil {
+		t.Fatal(err)
+	}
+
+	// A full Save of the same store elsewhere is a v2 pair too.
 	v2Path := filepath.Join(dir, "migrated.json")
 	if err := mid.Save(v2Path); err != nil {
 		t.Fatal(err)
@@ -756,8 +781,9 @@ func TestV1ToV2MigrationRoundTrip(t *testing.T) {
 	if _, _, err := fresh.Login("zz46", "pw-zz46"); err != nil {
 		t.Fatalf("login after migration: %v", err)
 	}
+	// (201 went to the journaled PE above.)
 	pe, err := fresh.AddPE(u.UserID, core.AddPERequest{PEName: "post-migration", PECode: "c"})
-	if err != nil || pe.PEID != 201 {
+	if err != nil || pe.PEID != 202 {
 		t.Fatalf("id counter after migration: %+v %v", pe, err)
 	}
 }

@@ -45,9 +45,8 @@ type Input struct {
 // completion and workflow search, in every mode, for one query or a batch.
 // It answers every input under q — one hit list each, the list a call with
 // that input alone returns — in one registry round trip: a single
-// simulated WAN hop and one span of the shard read locks, with the vector
-// legs of all inputs sent to each index as one batch so it can amortize
-// probe work across them.
+// simulated WAN hop and one span of the shard read locks, inside which
+// each input runs its own index probes.
 //
 // Probes hold only the read locks of the shards whose records they
 // resolve (pes, wfs) — the index pointers are copied under a momentary
@@ -86,42 +85,24 @@ func (s *Store) Search(userID int, q Query, inputs ...Input) [][]core.SearchHit 
 	seesPE := func(id int) bool { return visiblePEs[id] }
 	seesWF := func(id int) bool { return visibleWFs[id] }
 
-	// Vector legs, batched per index over the inputs that carry a vector.
-	var embs [][]float32
-	for _, in := range inputs {
-		if in.Embedding != nil {
-			embs = append(embs, in.Embedding)
-		}
-	}
-	var peANN, wfANN [][]index.Candidate
-	if len(embs) > 0 {
-		desc, code, wf := s.indexes()
-		if wantPEs {
-			if q.Code {
-				desc = code
-			}
-			peANN = index.SearchBatchOf(desc, embs, pool, seesPE)
-		}
-		if wantWFs {
-			wfANN = index.SearchBatchOf(wf, embs, pool, seesWF)
-		}
+	peIdx, code, wfIdx := s.indexes()
+	if q.Code {
+		peIdx = code
 	}
 	peLex, wfLex := s.lexIndexes()
 	m := s.instruments()
 
 	out := make([][]core.SearchHit, len(inputs))
-	next := 0 // position of the next input's candidates in peANN/wfANN
 	for i, in := range inputs {
 		var annLeg []core.SearchHit
 		if in.Embedding != nil {
 			var peC, wfC []index.Candidate
 			if wantPEs {
-				peC = peANN[next]
+				peC = peIdx.Search(in.Embedding, pool, seesPE)
 			}
 			if wantWFs {
-				wfC = wfANN[next]
+				wfC = wfIdx.Search(in.Embedding, pool, seesWF)
 			}
-			next++
 			// PE and workflow descriptions share one embedding model, so
 			// the two lists rank against each other in one cosine space.
 			annLeg = search.MergeRanked(s.peHitsLocked(peC), s.wfHitsLocked(wfC), pool)

@@ -18,7 +18,7 @@ import (
 func writeBase(t *testing.T, dir string) (string, DeltaChain) {
 	t.Helper()
 	path := filepath.Join(dir, "registry.json")
-	if err := Save(path, FormatV2, testSnapshot(t, 8)); err != nil {
+	if err := Save(path, testSnapshot(t, 8)); err != nil {
 		t.Fatalf("save base: %v", err)
 	}
 	chain, err := DeltaChainOf(path)
@@ -139,10 +139,7 @@ func TestSaveDeltaRefusesMissingBase(t *testing.T) {
 }
 
 func TestV1CannotAnchorJournal(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "registry.json")
-	if err := Save(path, FormatV1, testSnapshot(t, 4)); err != nil {
-		t.Fatalf("save v1: %v", err)
-	}
+	path := goldenV1(t, "packed.json")
 	sum, err := BaseIdentity(path)
 	if err != nil || sum != "" {
 		t.Fatalf("BaseIdentity(v1) = %q, %v; want empty", sum, err)
@@ -262,7 +259,7 @@ func TestDeltaStaleJournalIgnored(t *testing.T) {
 		}
 		stashed[segPath(path, seq)] = data
 	}
-	if err := Save(path, FormatV2, testSnapshot(t, 6)); err != nil {
+	if err := Save(path, testSnapshot(t, 6)); err != nil {
 		t.Fatalf("compacting save: %v", err)
 	}
 	if matches, _ := filepath.Glob(path + ".delta-*"); len(matches) != 0 {

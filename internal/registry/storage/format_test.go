@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -16,33 +15,13 @@ func TestFormatNames(t *testing.T) {
 	if got := Format(9).String(); got != "Format(9)" {
 		t.Fatalf("unknown format string = %q", got)
 	}
-	for name, want := range map[string]Format{"": FormatV2, "v2": FormatV2, "v1": FormatV1} {
-		got, err := ParseFormat(name)
-		if err != nil || got != want {
-			t.Fatalf("ParseFormat(%q) = %v, %v; want %v", name, got, err, want)
-		}
-	}
-	if _, err := ParseFormat("v3"); err == nil {
-		t.Fatal("ParseFormat accepted v3")
-	}
-}
-
-func TestSaveUnknownFormat(t *testing.T) {
-	err := Save(filepath.Join(t.TempDir(), "r.json"), Format(7), testSnapshot(t, 2))
-	if err == nil || !strings.Contains(err.Error(), "unknown format") {
-		t.Fatalf("err = %v", err)
-	}
 }
 
 func TestPackedVecForms(t *testing.T) {
-	orig := packedVec{1.5, -2.25, 0, 3e-9}
-	data, err := json.Marshal(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back packedVec
-	if err := json.Unmarshal(data, &back); err != nil || !reflect.DeepEqual(back, orig) {
-		t.Fatalf("packed round trip: %v, %v", back, err)
+	// The packed form: base64 over little-endian float32 bits.
+	var packed packedVec
+	if err := json.Unmarshal([]byte(`"AADAPwAAEMAAAAAAjyhOMQ=="`), &packed); err != nil || !reflect.DeepEqual(packed, packedVec{1.5, -2.25, 0, 3e-9}) {
+		t.Fatalf("packed form: %v, %v", packed, err)
 	}
 	// Legacy number-array form still loads.
 	var legacy packedVec
@@ -77,10 +56,7 @@ func TestDiskSizeFormats(t *testing.T) {
 		t.Fatal("DiskSize of missing file succeeded")
 	}
 
-	v1 := filepath.Join(dir, "v1.json")
-	if err := Save(v1, FormatV1, testSnapshot(t, 4)); err != nil {
-		t.Fatal(err)
-	}
+	v1 := goldenV1(t, "packed.json")
 	fi, err := os.Stat(v1)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +66,7 @@ func TestDiskSizeFormats(t *testing.T) {
 	}
 
 	v2 := filepath.Join(dir, "v2.json")
-	if err := Save(v2, FormatV2, testSnapshot(t, 4)); err != nil {
+	if err := Save(v2, testSnapshot(t, 4)); err != nil {
 		t.Fatal(err)
 	}
 	bare, err := DiskSize(v2)

@@ -39,7 +39,7 @@ func lexicalTestSnapshot(t *testing.T, n int) *Snapshot {
 func savedSidecar(t *testing.T, snap *Snapshot) (path, vecPath string) {
 	t.Helper()
 	path = filepath.Join(t.TempDir(), "registry.json")
-	if err := Save(path, FormatV2, snap); err != nil {
+	if err := Save(path, snap); err != nil {
 		t.Fatal(err)
 	}
 	hdr, err := readV2Header(path)
@@ -160,7 +160,7 @@ func TestV2LexicalSectionsRoundTripAndDegrade(t *testing.T) {
 func TestLoadReportsStages(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "registry.json")
-	if err := Save(path, FormatV2, lexicalTestSnapshot(t, 70)); err != nil {
+	if err := Save(path, lexicalTestSnapshot(t, 70)); err != nil {
 		t.Fatal(err)
 	}
 	sum, err := BaseIdentity(path)

@@ -9,23 +9,12 @@ import (
 	"math"
 )
 
-// packedVec is the v1 persistence encoding for embedding vectors: base64
-// over little-endian float32 bits. A JSON number array costs ~12 bytes and
-// a float parse per component; packed is 5.3 bytes and a bit-copy.
-// Unmarshal also accepts the historic number-array form, so registry files
-// written before packing still load. (v2 does better still — raw binary in
-// the sidecar, 4 bytes per component and no base64 round trip — which is
-// why this type is now v1-only.)
+// packedVec decodes the v1 persistence encoding for embedding vectors:
+// base64 over little-endian float32 bits. Unmarshal also accepts the
+// historic number-array form, so registry files written before packing
+// still load. (v2 keeps vectors as raw binary in the sidecar, so this type
+// is read-only.)
 type packedVec []float32
-
-// MarshalJSON encodes the vector as a base64 string of float32 bits.
-func (p packedVec) MarshalJSON() ([]byte, error) {
-	buf := make([]byte, 4*len(p))
-	for i, x := range p {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(x))
-	}
-	return json.Marshal(base64.StdEncoding.EncodeToString(buf))
-}
 
 // UnmarshalJSON decodes either the packed base64 form or a legacy JSON
 // number array.

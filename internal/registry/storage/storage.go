@@ -4,12 +4,13 @@
 // maps and index snapshots — and gets one back on load; locking, index
 // maintenance and every business rule stay out of this package.
 //
-// Two formats are supported:
+// Two formats are read, one is written:
 //
-//   - v1 (legacy): one monolithic JSON document, embeddings packed as
-//     base64 float32, index snapshots embedded as JSON. Every registry file
-//     written before the layered storage refactor is a v1 file. v1 loads
-//     forever; writing it is kept only for migration tests and benchmarks.
+//   - v1 (legacy, read-only): one monolithic JSON document, embeddings
+//     packed as base64 float32, index snapshots embedded as JSON. Every
+//     registry file written before the layered storage refactor is a v1
+//     file. v1 loads forever (testdata/v1 holds real files of each
+//     vintage); nothing writes it.
 //   - v2 (current): record metadata is *streamed* as JSON — encoded and
 //     decoded record by record, never materializing the registry as one
 //     giant in-memory document — while embeddings and index snapshots live
@@ -17,9 +18,9 @@
 //     FNV-1a checksums. The sidecar is content-named and installed before
 //     the JSON, so the pair is crash-consistent (see docs/storage.md).
 //
-// Load auto-detects the format; Save writes whichever format it is asked
-// for, which is also the entire migration story: load a v1 file, save, and
-// the registry is a v2 pair on disk.
+// Load auto-detects the format and Save always writes v2, which is also
+// the entire migration story: load a v1 file, save, and the registry is a
+// v2 pair on disk.
 package storage
 
 import (
@@ -39,7 +40,7 @@ type Format int
 
 // The supported formats.
 const (
-	// FormatV1 is the legacy monolithic JSON document.
+	// FormatV1 is the legacy monolithic JSON document (read-only).
 	FormatV1 Format = 1
 	// FormatV2 is the streamed JSON + binary sidecar pair (current).
 	FormatV2 Format = 2
@@ -54,19 +55,6 @@ func (f Format) String() string {
 		return "v2"
 	default:
 		return fmt.Sprintf("Format(%d)", int(f))
-	}
-}
-
-// ParseFormat resolves a format name; the empty string selects the current
-// default (v2).
-func ParseFormat(name string) (Format, error) {
-	switch name {
-	case "", "v2":
-		return FormatV2, nil
-	case "v1":
-		return FormatV1, nil
-	default:
-		return 0, fmt.Errorf("storage: unknown format %q (want v1 or v2)", name)
 	}
 }
 
@@ -137,21 +125,13 @@ type LoadStages struct {
 	Journal         time.Duration // reading and decoding delta segments
 }
 
-// Save writes the snapshot to path in the requested format, atomically: a
-// crash mid-write never damages the previous good snapshot. Concurrent
-// Saves to the *same* path must be serialized by the caller (the registry
-// store does): the v2 post-install sidecar sweep assumes no other install
-// is in flight for that path.
-func Save(path string, format Format, snap *Snapshot) error {
-	snap = snap.normalized()
-	switch format {
-	case FormatV1:
-		return saveV1(path, snap)
-	case FormatV2:
-		return saveV2(path, snap)
-	default:
-		return fmt.Errorf("storage: unknown format %d", int(format))
-	}
+// Save writes the snapshot to path as a v2 pair, atomically: a crash
+// mid-write never damages the previous good snapshot. Concurrent Saves to
+// the *same* path must be serialized by the caller (the registry store
+// does): the post-install sidecar sweep assumes no other install is in
+// flight for that path.
+func Save(path string, snap *Snapshot) error {
+	return saveV2(path, snap.normalized())
 }
 
 // Load reads a snapshot from path, auto-detecting the format, and reports

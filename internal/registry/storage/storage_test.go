@@ -131,7 +131,7 @@ func stripHashes(snap *Snapshot) *Snapshot {
 func TestV2RoundTrip(t *testing.T) {
 	snap := testSnapshot(t, 100)
 	path := filepath.Join(t.TempDir(), "registry.json")
-	if err := Save(path, FormatV2, snap); err != nil {
+	if err := Save(path, snap); err != nil {
 		t.Fatal(err)
 	}
 	got, format, err := Load(path)
@@ -144,57 +144,83 @@ func TestV2RoundTrip(t *testing.T) {
 	assertSnapshotsEqual(t, got, stripHashes(snap))
 }
 
-func TestV1RoundTrip(t *testing.T) {
-	snap := testSnapshot(t, 60)
-	path := filepath.Join(t.TempDir(), "registry.json")
-	if err := Save(path, FormatV1, snap); err != nil {
-		t.Fatal(err)
-	}
-	got, format, err := Load(path)
+// goldenV1 copies one of the checked-in v1 registry files into a temp dir
+// and returns the copy's path, so a test may save over or beside it. The
+// files under testdata/v1 were written once, by the last commit that had a
+// v1 writer (packed.json is testSnapshot(80), packed-quantized.json is
+// quantizedSnapshot(70), registry.json a served 200-PE clustered store;
+// inline.json is the hand-written oldest vintage): "v1 loads forever" is
+// pinned on real bytes, not on a writer and a reader agreeing with each
+// other.
+func goldenV1(t *testing.T, name string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "v1", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if format != FormatV1 {
-		t.Fatalf("detected format %v, want v1", format)
+	path := filepath.Join(t.TempDir(), "registry.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	assertSnapshotsEqual(t, got, stripHashes(snap))
+	return path
+}
+
+// loadGoldenV1 loads a golden file and checks it against the snapshot it
+// was written from. Records, relations, counters and vectors must match
+// bit for bit. The embedded index snapshots are whatever k-means produced
+// the day the file was written, so they are held to what a restart needs
+// of them instead: each still restores over the file's own vectors.
+func loadGoldenV1(t *testing.T, name string, want *Snapshot) (string, *Snapshot) {
+	t.Helper()
+	path := goldenV1(t, name)
+	got, format, err := Load(path)
+	if err != nil || format != FormatV1 {
+		t.Fatalf("load %s: %v (format %v)", name, err, format)
+	}
+	if got.Indexes == nil || got.Indexes.Desc == nil || got.Indexes.Code == nil || got.Indexes.Workflow == nil {
+		t.Fatalf("%s: embedded index snapshots lost: %+v", name, got.Indexes)
+	}
+	for kind, restore := range map[string]error{
+		"desc":     index.NewClustered(index.ClusteredConfig{}).Restore(got.Indexes.Desc, got.PEDescVecs),
+		"code":     index.NewClustered(index.ClusteredConfig{}).Restore(got.Indexes.Code, got.PECodeVecs),
+		"workflow": index.NewFlat().Restore(got.Indexes.Workflow, got.WorkflowDescVecs),
+	} {
+		if restore != nil {
+			t.Fatalf("%s: embedded %s index snapshot no longer restores: %v", name, kind, restore)
+		}
+	}
+	want = stripHashes(want)
+	want.Indexes = got.Indexes
+	assertSnapshotsEqual(t, got, want)
+	return path, got
+}
+
+// TestV1RoundTrip: the write half of this round trip ran once, at the last
+// commit with a v1 writer; the read half runs forever.
+func TestV1RoundTrip(t *testing.T) {
+	loadGoldenV1(t, "packed.json", testSnapshot(t, 80))
 }
 
 // TestV1ToV2Migration is the storage-level half of the migration story: a
-// v1 file loads, saves as v2, and the v2 pair carries the identical
-// snapshot — including the index structure, bit for bit.
+// v1 file loads, saves as v2 over itself, and the v2 pair carries the
+// identical snapshot — including the index structure, bit for bit.
 func TestV1ToV2Migration(t *testing.T) {
-	snap := testSnapshot(t, 80)
-	dir := t.TempDir()
-	v1Path := filepath.Join(dir, "registry.json")
-	if err := Save(v1Path, FormatV1, snap); err != nil {
+	path, loaded := loadGoldenV1(t, "packed.json", testSnapshot(t, 80))
+	if err := Save(path, loaded); err != nil {
 		t.Fatal(err)
 	}
-	loaded, format, err := Load(v1Path)
-	if err != nil || format != FormatV1 {
-		t.Fatalf("load v1: %v (format %v)", err, format)
-	}
-	v2Path := filepath.Join(dir, "registry2.json")
-	if err := Save(v2Path, FormatV2, loaded); err != nil {
-		t.Fatal(err)
-	}
-	migrated, format, err := Load(v2Path)
+	migrated, format, err := Load(path)
 	if err != nil || format != FormatV2 {
 		t.Fatalf("load migrated v2: %v (format %v)", err, format)
 	}
-	assertSnapshotsEqual(t, migrated, stripHashes(snap))
+	assertSnapshotsEqual(t, migrated, loaded)
 }
 
 // TestV2SmallerThanV1: the binary sidecar must beat base64-in-JSON on disk.
 func TestV2SmallerThanV1(t *testing.T) {
-	snap := testSnapshot(t, 200)
-	dir := t.TempDir()
-	v1Path := filepath.Join(dir, "v1.json")
-	v2Path := filepath.Join(dir, "v2.json")
-	if err := Save(v1Path, FormatV1, snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := Save(v2Path, FormatV2, snap); err != nil {
+	v1Path, snap := loadGoldenV1(t, "packed.json", testSnapshot(t, 80))
+	v2Path := filepath.Join(t.TempDir(), "v2.json")
+	if err := Save(v2Path, snap); err != nil {
 		t.Fatal(err)
 	}
 	v1Size, err := DiskSize(v1Path)
@@ -216,7 +242,7 @@ func TestV2CorruptVectorSectionFailsLoad(t *testing.T) {
 	snap := testSnapshot(t, 70)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "registry.json")
-	if err := Save(path, FormatV2, snap); err != nil {
+	if err := Save(path, snap); err != nil {
 		t.Fatal(err)
 	}
 	hdr, err := readV2Header(path)
@@ -247,10 +273,10 @@ func TestV2MismatchedSidecarFailsLoad(t *testing.T) {
 	dir := t.TempDir()
 	pathA := filepath.Join(dir, "a.json")
 	pathB := filepath.Join(dir, "b.json")
-	if err := Save(pathA, FormatV2, testSnapshot(t, 70)); err != nil {
+	if err := Save(pathA, testSnapshot(t, 70)); err != nil {
 		t.Fatal(err)
 	}
-	if err := Save(pathB, FormatV2, testSnapshot(t, 71)); err != nil {
+	if err := Save(pathB, testSnapshot(t, 71)); err != nil {
 		t.Fatal(err)
 	}
 	hdrA, err := readV2Header(pathA)
@@ -280,7 +306,7 @@ func TestV2CorruptIndexSectionDegradesToRebuild(t *testing.T) {
 	snap := testSnapshot(t, 70)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "registry.json")
-	if err := Save(path, FormatV2, snap); err != nil {
+	if err := Save(path, snap); err != nil {
 		t.Fatal(err)
 	}
 	hdr, err := readV2Header(path)
@@ -327,10 +353,10 @@ func TestV2CorruptIndexSectionDegradesToRebuild(t *testing.T) {
 func TestSaveSweepsStaleSidecars(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "registry.json")
-	if err := Save(path, FormatV2, testSnapshot(t, 70)); err != nil {
+	if err := Save(path, testSnapshot(t, 70)); err != nil {
 		t.Fatal(err)
 	}
-	if err := Save(path, FormatV2, testSnapshot(t, 75)); err != nil {
+	if err := Save(path, testSnapshot(t, 75)); err != nil {
 		t.Fatal(err)
 	}
 	matches, err := filepath.Glob(filepath.Join(dir, "registry.json-*.vec"))
@@ -383,7 +409,7 @@ func TestNormalizedDetachesInlineEmbeddings(t *testing.T) {
 		NextUserID:    2, NextPEID: 2, NextWorkflowID: 1,
 	}
 	path := filepath.Join(t.TempDir(), "registry.json")
-	if err := Save(path, FormatV2, inline); err != nil {
+	if err := Save(path, inline); err != nil {
 		t.Fatal(err)
 	}
 	// Save must not have mutated the caller's records.
@@ -410,7 +436,7 @@ func TestNormalizedDetachesInlineEmbeddings(t *testing.T) {
 func TestV2MissingSidecarIsNotErrNotExist(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "registry.json")
-	if err := Save(path, FormatV2, testSnapshot(t, 70)); err != nil {
+	if err := Save(path, testSnapshot(t, 70)); err != nil {
 		t.Fatal(err)
 	}
 	hdr, err := readV2Header(path)
@@ -436,10 +462,10 @@ func TestSweepSparesForeignSidecars(t *testing.T) {
 	dir := t.TempDir()
 	main := filepath.Join(dir, "registry.json")
 	foreign := filepath.Join(dir, "registry.json-staging")
-	if err := Save(foreign, FormatV2, testSnapshot(t, 70)); err != nil {
+	if err := Save(foreign, testSnapshot(t, 70)); err != nil {
 		t.Fatal(err)
 	}
-	if err := Save(main, FormatV2, testSnapshot(t, 71)); err != nil {
+	if err := Save(main, testSnapshot(t, 71)); err != nil {
 		t.Fatal(err)
 	}
 	// The foreign registry (whose sidecar "registry.json-staging-<sum>.vec"
@@ -477,7 +503,7 @@ func TestV2QuantizedSectionRoundTrip(t *testing.T) {
 	snap := quantizedSnapshot(t, 80)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "registry.json")
-	if err := Save(path, FormatV2, snap); err != nil {
+	if err := Save(path, snap); err != nil {
 		t.Fatal(err)
 	}
 	hdr, err := readV2Header(path)
@@ -512,16 +538,10 @@ func TestV2QuantizedSectionRoundTrip(t *testing.T) {
 // TestV1QuantizedRoundTrip: the monolithic JSON format carries the
 // companion set inline through the snapshot's Quantized field.
 func TestV1QuantizedRoundTrip(t *testing.T) {
-	snap := quantizedSnapshot(t, 70)
-	path := filepath.Join(t.TempDir(), "registry.json")
-	if err := Save(path, FormatV1, snap); err != nil {
-		t.Fatal(err)
+	_, got := loadGoldenV1(t, "packed-quantized.json", quantizedSnapshot(t, 70))
+	if got.Indexes.Desc.Quantized == nil {
+		t.Fatal("v1 file's inline companion set was not loaded")
 	}
-	got, _, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSnapshotsEqual(t, got, stripHashes(snap))
 }
 
 // TestV2CorruptQuantizedSectionDegrades: the companion set is doubly
@@ -532,7 +552,7 @@ func TestV2CorruptQuantizedSectionDegrades(t *testing.T) {
 	snap := quantizedSnapshot(t, 80)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "registry.json")
-	if err := Save(path, FormatV2, snap); err != nil {
+	if err := Save(path, snap); err != nil {
 		t.Fatal(err)
 	}
 	hdr, err := readV2Header(path)

@@ -32,46 +32,6 @@ type v1Document struct {
 	Indexes *IndexSnapshots `json:"indexes,omitempty"`
 }
 
-// saveV1 writes the legacy monolithic document. Unlike v2 this necessarily
-// materializes the whole registry as one indented JSON byte slice — that is
-// the format; it exists so migration tests and the v1-vs-v2 benchmark rows
-// have a faithful baseline to measure.
-func saveV1(path string, snap *Snapshot) error {
-	doc := v1Document{
-		Users:            snap.Users,
-		PasswordHashes:   snap.PasswordHashes,
-		PEs:              snap.PEs,
-		Workflows:        snap.Workflows,
-		UserPEs:          snap.UserPEs,
-		UserWorkflows:    snap.UserWorkflows,
-		WorkflowPEs:      snap.WorkflowPEs,
-		NextUserID:       snap.NextUserID,
-		NextPEID:         snap.NextPEID,
-		NextWorkflowID:   snap.NextWorkflowID,
-		PEDescVecs:       map[int]packedVec{},
-		PECodeVecs:       map[int]packedVec{},
-		WorkflowDescVecs: map[int]packedVec{},
-		Indexes:          snap.Indexes,
-	}
-	for id, v := range snap.PEDescVecs {
-		doc.PEDescVecs[id] = packedVec(v)
-	}
-	for id, v := range snap.PECodeVecs {
-		doc.PECodeVecs[id] = packedVec(v)
-	}
-	for id, v := range snap.WorkflowDescVecs {
-		doc.WorkflowDescVecs[id] = packedVec(v)
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return fmt.Errorf("storage: marshal v1 snapshot: %w", err)
-	}
-	return writeFileAtomic(path, func(f *os.File) error {
-		_, werr := f.Write(data)
-		return werr
-	})
-}
-
 // loadV1 reads a legacy file, normalizing the two historic embedding
 // placements (packed maps, inline arrays) into the snapshot's vector maps.
 func loadV1(path string) (*Snapshot, error) {

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -14,24 +13,7 @@ import (
 // the vector maps; where a packed map entry exists too, the packed form
 // wins.
 func TestLoadV1InlineEmbeddings(t *testing.T) {
-	doc := `{
-  "users": [{"userId": 1, "userName": "ann"}],
-  "passwordHashes": {"1": "h"},
-  "pes": [
-    {"peId": 1, "peName": "a", "descEmbedding": [1, 2], "codeEmbedding": [3, 4]},
-    {"peId": 2, "peName": "b", "descEmbedding": [9, 9]}
-  ],
-  "workflows": [{"workflowId": 1, "workflowName": "w", "descEmbedding": [5, 6]}],
-  "userPes": {"1": [1, 2]},
-  "userWorkflows": {"1": [1]},
-  "workflowPes": {"1": [1]},
-  "nextUserId": 2, "nextPeId": 3, "nextWorkflowId": 2,
-  "peDescVecs": {"2": [7, 8]}
-}`
-	path := filepath.Join(t.TempDir(), "old.json")
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path := goldenV1(t, "inline.json")
 	snap, format, err := Load(path)
 	if err != nil || format != FormatV1 {
 		t.Fatalf("load = format %v, err %v", format, err)
@@ -63,7 +45,7 @@ func TestSaveDetachesInlineWorkflowEmbeddings(t *testing.T) {
 		NextUserID:    1, NextPEID: 1, NextWorkflowID: 2,
 	}
 	path := filepath.Join(t.TempDir(), "r.json")
-	if err := Save(path, FormatV2, snap); err != nil {
+	if err := Save(path, snap); err != nil {
 		t.Fatal(err)
 	}
 	if snap.Workflows[0].DescEmbedding == nil {

@@ -122,8 +122,6 @@ func (s *Store) SetTelemetry(t *telemetry.Registry) {
 		"Wall-clock duration of completed index retrains.", telemetry.LatencyBuckets(), "index")
 	quantizedScans := t.CounterVec("laminar_index_quantized_scans_total",
 		"Vector-index queries whose candidate pass scored int8 quantized codes.", "index")
-	batchSize := t.HistogramVec("laminar_index_batch_size",
-		"Queries per batched vector-index search call.", telemetry.CountBuckets(), "index")
 	for _, label := range indexLabels {
 		m.perIndex[label] = &index.ClusteredMetrics{
 			Probes:         probes.With(label),
@@ -132,7 +130,6 @@ func (s *Store) SetTelemetry(t *telemetry.Registry) {
 			Retrains:       retrains.With(label),
 			RetrainSeconds: retrainSeconds.With(label),
 			QuantizedScans: quantizedScans.With(label),
-			BatchSize:      batchSize.With(label),
 		}
 	}
 

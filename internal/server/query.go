@@ -248,9 +248,9 @@ func (s *Server) execute(ctx context.Context, user *core.UserRecord, p core.Sear
 	}
 
 	// Backend, then cache fill: this node's registry, which takes the
-	// misses together so the index amortizes probe work across them — or,
-	// on a coordinator, one scatter per miss over the shards that hold the
-	// corpus. Degraded scatters are never cached: a shard coming back
+	// misses together — one WAN hop and one span of its read locks for all
+	// of them — or, on a coordinator, one scatter per miss over the shards
+	// that hold the corpus. Degraded scatters are never cached: a shard coming back
 	// should be visible on the next attempt, not after a TTL.
 	if s.cfg.Cluster == nil {
 		lists := s.reg.Search(user.UserID, registry.Query{Mode: p.Mode, Code: code, Type: p.SearchType, Limit: p.Limit}, inputs...)

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"net"
 	"time"
 
 	"laminar/internal/client"
@@ -80,14 +81,10 @@ type ServerOptions struct {
 	// (0 = instant, 1 = realistic).
 	InstallDelayScale float64
 	// RegistryPath, when non-empty, loads the registry from this snapshot
-	// file at start (if it exists); call SaveRegistry to persist.
+	// file at start (if it exists); call SaveRegistry to persist. A legacy
+	// v1 file loads too and is a v2 pair after the first save (see
+	// docs/storage.md).
 	RegistryPath string
-	// StoreFormat selects the on-disk snapshot format SaveRegistry writes:
-	// "v2" (the default: streamed JSON + binary vector sidecar) or "v1"
-	// (the legacy monolithic JSON document). Load auto-detects either, so
-	// upgrading a v1 deployment is just starting it with the default and
-	// letting the first Save migrate the file (see docs/storage.md).
-	StoreFormat string
 	// Index selects the vector index backing semantic search and code
 	// completion: "flat" (exact brute force, the default) or "clustered"
 	// (IVF-style approximate index with sublinear probes).
@@ -206,16 +203,64 @@ type Server struct {
 	registryPath string
 }
 
-// NewServer assembles a deployment.
+// Validate reports the first option that is out of range or unparsable.
+// NewServer panics on it and laminar-server exits on it, so an embedder's
+// typo and an operator's fail the same way, before anything is served.
+// The zero value is valid.
+func (o ServerOptions) Validate() error {
+	inUnit := func(x float64) bool { return x >= 0 && x <= 1 } // false for NaN
+	switch {
+	case o.Index != "" && o.Index != "flat" && o.Index != "clustered":
+		return fmt.Errorf("unknown Index %q (want flat or clustered)", o.Index)
+	case !inUnit(o.IndexRecallTarget):
+		return fmt.Errorf("IndexRecallTarget %g out of range (want 0, or a target in (0,1])", o.IndexRecallTarget)
+	case !(o.IndexSpill >= 0):
+		return fmt.Errorf("IndexSpill %g out of range (want >= 0)", o.IndexSpill)
+	case o.IndexRetrainCooldown < 0:
+		return fmt.Errorf("IndexRetrainCooldown %v out of range (want >= 0)", o.IndexRetrainCooldown)
+	case o.SearchMode != "" && o.SearchMode != ModeANN && o.SearchMode != ModeHybrid && o.SearchMode != ModeReranked:
+		return fmt.Errorf("unknown SearchMode %q (want ann, hybrid or reranked)", o.SearchMode)
+	case o.FlowQueueCap < 0:
+		return fmt.Errorf("FlowQueueCap %d out of range (want >= 0)", o.FlowQueueCap)
+	case o.ClusterShardTimeout < 0:
+		return fmt.Errorf("ClusterShardTimeout %v out of range (want >= 0)", o.ClusterShardTimeout)
+	case o.ClusterHedgeDelay < 0:
+		return fmt.Errorf("ClusterHedgeDelay %v out of range (want >= 0)", o.ClusterHedgeDelay)
+	case o.ReadOnlyReplica && o.RegistryPath == "":
+		return errors.New("ReadOnlyReplica needs RegistryPath: a read-only replica serves a restored snapshot")
+	case o.CacheSize < 0:
+		return fmt.Errorf("CacheSize %d out of range (want >= 0)", o.CacheSize)
+	case o.DeltaMaxSegments < 0:
+		return fmt.Errorf("DeltaMaxSegments %d out of range (want >= 0)", o.DeltaMaxSegments)
+	case !inUnit(o.DeltaCompactRatio):
+		return fmt.Errorf("DeltaCompactRatio %g out of range (want 0, or a ratio in (0,1])", o.DeltaCompactRatio)
+	}
+	if _, err := dataflow.ParseAllocMode(o.FlowAlloc); err != nil {
+		return fmt.Errorf("FlowAlloc: %w", err)
+	}
+	if o.ClusterPeers != "" {
+		if _, err := cluster.ParseShards(o.ClusterPeers); err != nil {
+			return fmt.Errorf("ClusterPeers: %w", err)
+		}
+	}
+	for _, cidr := range o.MetricsAllow {
+		if _, _, err := net.ParseCIDR(cidr); err != nil {
+			return fmt.Errorf("MetricsAllow: bad CIDR %q", cidr)
+		}
+	}
+	return nil
+}
+
+// NewServer assembles a deployment. It panics on options Validate rejects.
 func NewServer(opts ServerOptions) *Server {
+	if err := opts.Validate(); err != nil {
+		panic(fmt.Sprintf("laminar: ServerOptions: %v", err))
+	}
 	reg := registry.NewStore()
 	// Select the index kind before loading: a registry file persisted by a
 	// clustered deployment then restores its trained centroids directly
 	// into a clustered index, instead of being rebuilt flat and retrained.
-	switch opts.Index {
-	case "", "flat":
-		// NewStore's default exact index.
-	case "clustered":
+	if opts.Index == "clustered" {
 		cfg := index.ClusteredConfig{
 			Centroids:       opts.IndexCentroids,
 			NProbe:          opts.IndexNProbe,
@@ -227,15 +272,6 @@ func NewServer(opts ServerOptions) *Server {
 			RetrainCooldown: opts.IndexRetrainCooldown,
 		}
 		reg.ConfigureIndex(func() index.VectorIndex { return index.NewClustered(cfg) })
-	default:
-		// Fail fast for every embedder, not just the laminar-server flag
-		// path: a typo must not silently benchmark the wrong index.
-		panic(fmt.Sprintf("laminar: unknown ServerOptions.Index %q (want flat or clustered)", opts.Index))
-	}
-	if err := reg.SetStoreFormat(opts.StoreFormat); err != nil {
-		// Same fail-fast contract as Index: a typo must not silently write
-		// the wrong on-disk format.
-		panic(fmt.Sprintf("laminar: ServerOptions.StoreFormat: %v", err))
 	}
 	// Instrument before loading so the startup Load (and any index work it
 	// triggers) lands in the telemetry the deployment will serve.
@@ -256,12 +292,8 @@ func NewServer(opts ServerOptions) *Server {
 	reg.SetLatency(opts.RegistryLatency)
 	var coord *cluster.Coordinator
 	if opts.ClusterPeers != "" {
-		shards, err := cluster.ParseShards(opts.ClusterPeers)
-		if err != nil {
-			// Same fail-fast contract as Index: a typo must not silently
-			// coordinate over the wrong shard set.
-			panic(fmt.Sprintf("laminar: ServerOptions.ClusterPeers: %v", err))
-		}
+		shards, _ := cluster.ParseShards(opts.ClusterPeers) // Validate parsed it
+		var err error
 		coord, err = cluster.NewCoordinator(cluster.CoordinatorConfig{
 			Shards:       shards,
 			ShardTimeout: opts.ClusterShardTimeout,
@@ -271,15 +303,7 @@ func NewServer(opts ServerOptions) *Server {
 			panic(fmt.Sprintf("laminar: ServerOptions.ClusterPeers: %v", err))
 		}
 	}
-	allocMode, err := dataflow.ParseAllocMode(opts.FlowAlloc)
-	if err != nil {
-		// Same fail-fast contract as Index: a typo must not silently run
-		// the wrong allocation policy.
-		panic(fmt.Sprintf("laminar: ServerOptions.FlowAlloc: %v", err))
-	}
-	if opts.FlowQueueCap < 0 {
-		panic(fmt.Sprintf("laminar: ServerOptions.FlowQueueCap must not be negative (got %d)", opts.FlowQueueCap))
-	}
+	allocMode, _ := dataflow.ParseAllocMode(opts.FlowAlloc) // Validate parsed it
 	eng := engine.New(engine.Config{
 		VOBaseURL:         opts.VOBaseURL,
 		InstallDelayScale: opts.InstallDelayScale,

@@ -205,6 +205,26 @@ func TestFacadeCorruptRegistryRefusesToStart(t *testing.T) {
 	NewServer(ServerOptions{RegistryPath: path})
 }
 
+// TestFacadeRejectsOutOfRangeOptions: NewServer fails fast on what Validate
+// rejects instead of clamping it in a lower layer.
+func TestFacadeRejectsOutOfRangeOptions(t *testing.T) {
+	for _, opts := range []ServerOptions{
+		{Index: "clustered", IndexRecallTarget: 1.5},
+		{Index: "clustered", IndexSpill: -1},
+		{CacheSize: -1},
+		{DeltaCompactRatio: 2},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewServer accepted %+v", opts)
+				}
+			}()
+			NewServer(opts)
+		}()
+	}
+}
+
 // TestFacadeRemoteEngine wires the Table 5 remote configuration through the
 // public constructors.
 func TestFacadeRemoteEngine(t *testing.T) {
