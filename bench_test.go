@@ -14,7 +14,9 @@ import (
 	"testing"
 
 	"laminar/internal/bench"
+	"laminar/internal/core"
 	"laminar/internal/index"
+	"laminar/internal/registry"
 	"laminar/internal/search"
 )
 
@@ -156,6 +158,47 @@ func BenchmarkSemanticSearch(b *testing.B) {
 func BenchmarkCompletion(b *testing.B) {
 	query := search.EmbedCode("def _process(self):\n    return random.randint(1, 1000)")
 	benchSearchSizes(b, query)
+}
+
+// BenchmarkTextSearch measures a Section 4.1 text query — a release token
+// one description carries — through the registry's in-place scan at
+// 100/1k/10k PEs (plus a tenth as many workflows). Run with -benchmem: the
+// allocation count must not follow the corpus size.
+func BenchmarkTextSearch(b *testing.B) {
+	for _, size := range []int{100, 1000, 10000} {
+		b.Run(fmt.Sprint(size), func(b *testing.B) {
+			store := registry.NewStore()
+			user, err := store.RegisterUser("bench", "password")
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < size; i++ {
+				if _, err := store.AddPE(user.UserID, core.AddPERequest{
+					PEName: fmt.Sprintf("FilterSensorReadingsQ%d", i), PECode: "opaque",
+					Description: fmt.Sprintf("filter sensor readings by threshold, release z%d", i),
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := 0; i < size/10; i++ {
+				if _, err := store.AddWorkflow(user.UserID, core.AddWorkflowRequest{
+					WorkflowName: fmt.Sprintf("FlowQ%d", i), EntryPoint: fmt.Sprintf("flowQ%d", i), WorkflowCode: "opaque",
+					Description: fmt.Sprintf("pipeline to filter sensor readings and then merge them, release y%d", i),
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			q := registry.Query{Text: true, Type: core.SearchBoth, Limit: 10}
+			in := registry.Input{Text: fmt.Sprintf("z%d", size/2)}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if hits := store.Search(user.UserID, q, in)[0]; len(hits) == 0 {
+					b.Fatal("the planted release matched nothing")
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkBiVsCrossEncoder measures the Section 2.4 bi-encoder vs

@@ -141,12 +141,12 @@ type SearchResponse struct {
 }
 
 // SearchBatchRequest is the body of POST /registry/{user}/search/batch:
-// many semantic or code queries of one shape answered in one round trip.
+// many queries of one shape answered in one round trip.
 // It mirrors SearchRequest field for field, with lists where that has one
 // query, and every list it returns is what SearchRequest would have
 // returned for that query.
 type SearchBatchRequest struct {
-	// QueryType is semantic (the default) or code.
+	// QueryType is semantic (the default), code or text.
 	QueryType QueryType `json:"queryType,omitempty"`
 	// SearchType selects PEs (the default), workflows or both.
 	SearchType SearchType `json:"searchType,omitempty"`

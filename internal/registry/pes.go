@@ -201,8 +201,12 @@ func (s *Store) PEsForUser(userID int) []core.PERecord {
 	s.simulateWAN()
 	s.pesMu.RLock()
 	defer s.pesMu.RUnlock()
-	var out []core.PERecord
-	for id := range s.userPEs[userID] {
+	owned := s.userPEs[userID]
+	if len(owned) == 0 {
+		return nil // not empty: the list routes encode it as null
+	}
+	out := make([]core.PERecord, 0, len(owned))
+	for id := range owned {
 		if pe := s.pes[id]; pe != nil {
 			out = append(out, *pe)
 		}

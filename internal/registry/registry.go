@@ -19,10 +19,11 @@
 // records. Two BM25 lexical indexes (PEs, workflows) are maintained and
 // persisted beside them.
 //
-// Ranked retrieval has one entry, Store.Search (search.go): an optional
-// vector leg and an optional lexical leg, reciprocal-rank fusion of the
-// two, an optional cross-encoder rerank — which of them run is the
-// Query's Mode — for one Input or a batch that shares the WAN hop and the
+// Retrieval has one entry, Store.Search (search.go): an optional vector
+// leg and an optional lexical leg, reciprocal-rank fusion of the two, an
+// optional cross-encoder rerank — which of them run is the Query's Mode —
+// or, for a Query with Text set, an in-place scan of names and
+// descriptions; for one Input or a batch that shares the WAN hop and the
 // lock span. CompletionSearch, SemanticSearchBoth and HybridSearch are
 // one-line calls into it, kept for the repo's benchmark.
 //

@@ -1,7 +1,9 @@
 package registry
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"time"
 
 	"laminar/internal/core"
@@ -25,6 +27,11 @@ type Query struct {
 	// Code ranks by PE code embeddings (code completion) instead of
 	// descriptions. Workflows carry none, so a code query never ranks them.
 	Code bool
+	// Text answers by Section 4.1's normalized partial matching of each
+	// Input's Text against names and descriptions instead of ranking:
+	// hits carry no score and come in id order. Mode and Embedding are
+	// not consulted.
+	Text bool
 	// Type selects PEs, workflows, or (the zero value too) both.
 	Type core.SearchType
 	// Limit is each result list's length (search.DefaultLimit when <= 0).
@@ -41,8 +48,9 @@ type Input struct {
 	Embedding []float32
 }
 
-// Search is the store's one ranked-retrieval entry: semantic search, code
-// completion and workflow search, in every mode, for one query or a batch.
+// Search is the store's one retrieval entry: semantic search, code
+// completion and workflow search, in every mode, and text search, for one
+// query or a batch.
 // It answers every input under q — one hit list each, the list a call with
 // that input alone returns — in one registry round trip: a single
 // simulated WAN hop and one span of the shard read locks, inside which
@@ -82,6 +90,15 @@ func (s *Store) Search(userID int, q Query, inputs ...Input) [][]core.SearchHit 
 		defer s.wfsMu.RUnlock()
 		visibleWFs = s.userWorkflows[userID]
 	}
+	out := make([][]core.SearchHit, len(inputs))
+	if q.Text {
+		var m search.TextMatcher
+		for i, in := range inputs {
+			m.Reset(in.Text)
+			out[i] = s.textHitsLocked(&m, visiblePEs, visibleWFs, limit)
+		}
+		return out
+	}
 	seesPE := func(id int) bool { return visiblePEs[id] }
 	seesWF := func(id int) bool { return visibleWFs[id] }
 
@@ -92,7 +109,6 @@ func (s *Store) Search(userID int, q Query, inputs ...Input) [][]core.SearchHit 
 	peLex, wfLex := s.lexIndexes()
 	m := s.instruments()
 
-	out := make([][]core.SearchHit, len(inputs))
 	for i, in := range inputs {
 		var annLeg []core.SearchHit
 		if in.Embedding != nil {
@@ -145,6 +161,29 @@ func (s *Store) Search(userID int, q Query, inputs ...Input) [][]core.SearchHit 
 		}
 	}
 	return out
+}
+
+// textHitsLocked is the text leg: it matches the user's records where they
+// lie, under the held read locks (a nil ownership set is a kind the query
+// does not want), sorts only the matches and builds only the hits that
+// survive the limit — no listing is copied and nothing is allocated per
+// record scanned.
+func (s *Store) textHitsLocked(m *search.TextMatcher, visiblePEs, visibleWFs map[int]bool, limit int) []core.SearchHit {
+	var pes []*core.PERecord
+	for id := range visiblePEs {
+		if pe := s.pes[id]; pe != nil && m.MatchesPE(pe) {
+			pes = append(pes, pe)
+		}
+	}
+	slices.SortFunc(pes, func(a, b *core.PERecord) int { return cmp.Compare(a.PEID, b.PEID) })
+	var wfs []*core.WorkflowRecord
+	for id := range visibleWFs {
+		if wf := s.workflows[id]; wf != nil && m.MatchesWorkflow(wf) {
+			wfs = append(wfs, wf)
+		}
+	}
+	slices.SortFunc(wfs, func(a, b *core.WorkflowRecord) int { return cmp.Compare(a.WorkflowID, b.WorkflowID) })
+	return search.TextHits(pes, wfs, limit)
 }
 
 // peHitsLocked resolves PE candidates (from either kind of index) to hits

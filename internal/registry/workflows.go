@@ -132,8 +132,12 @@ func (s *Store) WorkflowsForUser(userID int) []core.WorkflowRecord {
 	s.simulateWAN()
 	s.wfsMu.RLock()
 	defer s.wfsMu.RUnlock()
-	var out []core.WorkflowRecord
-	for id := range s.userWorkflows[userID] {
+	owned := s.userWorkflows[userID]
+	if len(owned) == 0 {
+		return nil // see PEsForUser
+	}
+	out := make([]core.WorkflowRecord, 0, len(owned))
+	for id := range owned {
 		if wf := s.workflows[id]; wf != nil {
 			out = append(out, *wf)
 		}

@@ -12,8 +12,6 @@
 package search
 
 import (
-	"strings"
-
 	"laminar/internal/core"
 	"laminar/internal/embed"
 	"laminar/internal/index"
@@ -30,89 +28,6 @@ var TextModel = embed.ModelCodeSearch
 // (ReACC-py-retriever, chosen by Precision@1 in Table 7).
 var CodeModel = embed.ModelReACC
 
-// normalize lowercases and collapses separators — the preprocessing step
-// behind partial matching ("prime" finds "isPrime").
-func normalize(s string) string {
-	var sb strings.Builder
-	for _, r := range strings.ToLower(s) {
-		if r >= 'a' && r <= 'z' || r >= '0' && r <= '9' {
-			sb.WriteRune(r)
-		} else {
-			sb.WriteByte(' ')
-		}
-	}
-	return strings.Join(strings.Fields(sb.String()), " ")
-}
-
-// textMatches reports whether the normalized query occurs in the normalized
-// target (substring over collapsed text, so "prime" matches "isPrime").
-func textMatches(query, target string) bool {
-	nq := normalize(query)
-	nt := normalize(target)
-	if nq == "" {
-		return false
-	}
-	if strings.Contains(strings.ReplaceAll(nt, " ", ""), strings.ReplaceAll(nq, " ", "")) {
-		return true
-	}
-	// every query word present somewhere
-	for _, w := range strings.Fields(nq) {
-		if !strings.Contains(nt, w) {
-			return false
-		}
-	}
-	return true
-}
-
-// Text performs text-based search over PEs and workflows by name and
-// description (Fig. 6). When a SearchBoth query overflows the limit, PE and
-// workflow hits are interleaved before truncation, so a flood of matching
-// PEs can no longer silently starve every workflow hit (and vice versa).
-func Text(query string, st core.SearchType, pes []core.PERecord, wfs []core.WorkflowRecord, limit int) []core.SearchHit {
-	if limit <= 0 {
-		limit = DefaultLimit
-	}
-	var peHits, wfHits []core.SearchHit
-	if st == core.SearchPEs || st == core.SearchBoth {
-		for _, pe := range pes {
-			if textMatches(query, pe.PEName) || textMatches(query, pe.Description) {
-				peHits = append(peHits, core.SearchHit{
-					Kind: "pe", ID: pe.PEID, Name: pe.PEName, Description: pe.Description,
-				})
-			}
-		}
-	}
-	if st == core.SearchWorkflows || st == core.SearchBoth {
-		for _, wf := range wfs {
-			if textMatches(query, wf.EntryPoint) || textMatches(query, wf.WorkflowName) || textMatches(query, wf.Description) {
-				wfHits = append(wfHits, core.SearchHit{
-					Kind: "workflow", ID: wf.WorkflowID, Name: wf.EntryPoint, Description: wf.Description,
-				})
-			}
-		}
-	}
-	if len(peHits)+len(wfHits) <= limit {
-		return append(peHits, wfHits...)
-	}
-	return interleave(peHits, wfHits, limit)
-}
-
-// interleave merges two hit lists round-robin up to limit, preserving each
-// list's internal order and draining the remainder from whichever list is
-// longer.
-func interleave(a, b []core.SearchHit, limit int) []core.SearchHit {
-	out := make([]core.SearchHit, 0, limit)
-	for i := 0; len(out) < limit && (i < len(a) || i < len(b)); i++ {
-		if i < len(a) {
-			out = append(out, a[i])
-		}
-		if len(out) < limit && i < len(b) {
-			out = append(out, b[i])
-		}
-	}
-	return out
-}
-
 // EmbedDescription computes the stored description embedding
 // (unixcoder-code-search).
 func EmbedDescription(text string) []float32 {
@@ -124,61 +39,18 @@ func EmbedCode(code string) []float32 {
 	return embed.MustLookup(CodeModel).Embed(code)
 }
 
-// Semantic ranks PEs against a natural-language query by cosine similarity
-// of description embeddings (Fig. 7). Pass a precomputed query embedding
-// (bi-encoder: the client embeds its own query); when nil it is computed
-// here.
-func Semantic(query string, queryEmbedding []float32, pes []core.PERecord, limit int) []core.SearchHit {
-	if queryEmbedding == nil {
-		queryEmbedding = EmbedDescription(query)
-	}
-	return rankByEmbedding(queryEmbedding, pes, func(pe core.PERecord) []float32 {
-		return pe.DescEmbedding
-	}, limit)
+// peHit is the hit a PE appears as in every kind of search.
+func peHit(pe *core.PERecord, score float64) core.SearchHit {
+	return core.SearchHit{Kind: "pe", ID: pe.PEID, Name: pe.PEName, Description: pe.Description, Score: score}
 }
 
-// Completion ranks PEs against a (possibly partial) code snippet by cosine
-// similarity of code embeddings (Fig. 8).
-func Completion(snippet string, queryEmbedding []float32, pes []core.PERecord, limit int) []core.SearchHit {
-	if queryEmbedding == nil {
-		queryEmbedding = EmbedCode(snippet)
-	}
-	return rankByEmbedding(queryEmbedding, pes, func(pe core.PERecord) []float32 {
-		return pe.CodeEmbedding
-	}, limit)
-}
-
-// rankByEmbedding scores every PE against the query with the same float64
-// dot product the vector indexes use, keeping only the top limit hits in a
-// bounded heap (O(N log k)) instead of sorting the full corpus. PE ids are
-// unique in the registry, so (score, id) is a strict total order and the
-// result matches a full sort byte-for-byte.
-func rankByEmbedding(query []float32, pes []core.PERecord, vec func(core.PERecord) []float32, limit int) []core.SearchHit {
-	if limit <= 0 {
-		limit = DefaultLimit
-	}
-	top := index.NewTopK(limit)
-	pos := make(map[int]int, len(pes)) // PE id → slice position; avoids copying every record
-	for i, pe := range pes {
-		v := vec(pe)
-		if len(v) == 0 {
-			continue // registered without embeddings: not searchable semantically
-		}
-		pos[pe.PEID] = i
-		top.Push(index.Candidate{ID: pe.PEID, Score: embed.Cosine(embed.Vector(query), embed.Vector(v))})
-	}
-	return HitsFromCandidates(top.Sorted(), func(id int) (core.PERecord, bool) {
-		i, ok := pos[id]
-		if !ok {
-			return core.PERecord{}, false
-		}
-		return pes[i], true
-	})
+// workflowHit is the hit a workflow appears as: named by its entry point.
+func workflowHit(wf *core.WorkflowRecord, score float64) core.SearchHit {
+	return core.SearchHit{Kind: "workflow", ID: wf.WorkflowID, Name: wf.EntryPoint, Description: wf.Description, Score: score}
 }
 
 // HitsFromCandidates resolves ranked index candidates back to search hits
-// via a record lookup. It is shared by the slice-based rankers above and by
-// the registry's index-backed search path.
+// via a record lookup, for the registry's index-backed search path.
 func HitsFromCandidates(cands []index.Candidate, lookup func(id int) (core.PERecord, bool)) []core.SearchHit {
 	if len(cands) == 0 {
 		return nil // historic brute force returned nil on no hits
@@ -189,16 +61,13 @@ func HitsFromCandidates(cands []index.Candidate, lookup func(id int) (core.PERec
 		if !ok {
 			continue
 		}
-		hits = append(hits, core.SearchHit{
-			Kind: "pe", ID: pe.PEID, Name: pe.PEName, Description: pe.Description, Score: c.Score,
-		})
+		hits = append(hits, peHit(&pe, c.Score))
 	}
 	return hits
 }
 
 // WorkflowHitsFromCandidates is HitsFromCandidates for the workflow index:
-// candidates resolve to workflow records and hits carry Kind "workflow"
-// (named by entry point, like text search's workflow hits).
+// candidates resolve to workflow records and hits carry Kind "workflow".
 func WorkflowHitsFromCandidates(cands []index.Candidate, lookup func(id int) (core.WorkflowRecord, bool)) []core.SearchHit {
 	if len(cands) == 0 {
 		return nil
@@ -209,9 +78,7 @@ func WorkflowHitsFromCandidates(cands []index.Candidate, lookup func(id int) (co
 		if !ok {
 			continue
 		}
-		hits = append(hits, core.SearchHit{
-			Kind: "workflow", ID: wf.WorkflowID, Name: wf.EntryPoint, Description: wf.Description, Score: c.Score,
-		})
+		hits = append(hits, workflowHit(&wf, c.Score))
 	}
 	return hits
 }

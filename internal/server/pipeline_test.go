@@ -394,23 +394,27 @@ func TestMisSizedQueryEmbeddingIs400(t *testing.T) {
 
 // TestCacheHitAllocatesNothing pins the repeat-traffic fast path: planning
 // a request and answering it from the cache costs one key hash and no
-// allocation.
+// allocation, for a ranked query and for a text query.
 func TestCacheHitAllocatesNothing(t *testing.T) {
 	srv, addr := bootNode(t, Config{CacheSize: 16})
 	seedNodes(t, addr)
-	req := core.SearchRequest{
-		Search: "filters photon events", SearchType: core.SearchBoth, QueryType: core.QuerySemantic,
-		QueryEmbedding: search.EmbedDescription("filters photon events"), Mode: core.ModeHybrid, Limit: 5,
-	}
-	if res, err := srv.ClusterSearchLocal("zz46", req); err != nil || len(res.Hits) == 0 {
-		t.Fatalf("warm-up: %+v, %v", res, err)
-	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		if _, err := srv.ClusterSearchLocal("zz46", req); err != nil {
-			t.Fatal(err)
+	for _, req := range []core.SearchRequest{
+		{
+			Search: "filters photon events", SearchType: core.SearchBoth, QueryType: core.QuerySemantic,
+			QueryEmbedding: search.EmbedDescription("filters photon events"), Mode: core.ModeHybrid, Limit: 5,
+		},
+		{Search: "photon events", SearchType: core.SearchBoth, QueryType: core.QueryText, Limit: 5},
+	} {
+		if res, err := srv.ClusterSearchLocal("zz46", req); err != nil || len(res.Hits) == 0 {
+			t.Fatalf("warm-up: %+v, %v", res, err)
 		}
-	}); allocs != 0 {
-		t.Fatalf("a cache hit allocates %v times", allocs)
+		if allocs := testing.AllocsPerRun(200, func() {
+			if _, err := srv.ClusterSearchLocal("zz46", req); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("a %s cache hit allocates %v times", req.QueryType, allocs)
+		}
 	}
 }
 
@@ -419,7 +423,10 @@ func TestCacheHitAllocatesNothing(t *testing.T) {
 // sources and fails when a second function starts resolving the search
 // mode, calling the registry's search entry or the cluster scatter, or
 // touching the query cache — the forks this package once had, which
-// diverged into a batch route without mode, cache or scatter.
+// diverged into a batch route without mode, cache or scatter — or when
+// query.go goes back to copying a user's listing or scanning it with
+// search.Text, the text route that ran beside the pipeline instead of
+// through it.
 func TestOnePipeline(t *testing.T) {
 	sources, err := filepath.Glob("*.go")
 	if err != nil {
@@ -452,6 +459,9 @@ func TestOnePipeline(t *testing.T) {
 					return true
 				}
 				switch inner := exprString(sel.X); {
+				case source == "query.go" && (inner == "search" && sel.Sel.Name == "Text" ||
+					strings.HasSuffix(inner, ".reg") && (sel.Sel.Name == "PEsForUser" || sel.Sel.Name == "WorkflowsForUser")):
+					t.Errorf("query.go: %s calls %s.%s — text queries scan in place inside reg.Search, behind the cache", fn.Name.Name, inner, sel.Sel.Name)
 				case sel.Sel.Name == "SearchMode":
 					note("mode resolution (cfg.SearchMode)", fn.Name.Name)
 				case strings.HasSuffix(inner, ".reg") && strings.Contains(sel.Sel.Name, "Search"):

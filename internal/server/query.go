@@ -125,8 +125,7 @@ type query struct {
 // downstream re-validates or re-defaults; it is also exactly the request a
 // coordinator forwards, so every shard runs the same pipeline regardless of
 // its own defaults. The single-query routes (single) differ from the batch
-// route only here: they take text queries and name their embedding
-// queryEmbedding.
+// route only in the name of their embedding, queryEmbedding.
 func (s *Server) plan(req *core.SearchRequest, qs []query, single bool) error {
 	req.SearchType = cmp.Or(req.SearchType, core.SearchBoth)
 	switch req.SearchType {
@@ -135,8 +134,8 @@ func (s *Server) plan(req *core.SearchRequest, qs []query, single bool) error {
 		return core.ErrBadRequest("type", "unknown search type %q (want pe, workflow or both)", req.SearchType)
 	}
 	req.QueryType = cmp.Or(req.QueryType, core.QueryText)
-	switch {
-	case req.QueryType == core.QuerySemantic || req.QueryType == core.QueryCode:
+	switch req.QueryType {
+	case core.QuerySemantic, core.QueryCode:
 		// The request's explicit mode wins, else the server's configured
 		// default, else pure ANN; an unknown mode is a client error, not a
 		// fallback.
@@ -144,10 +143,10 @@ func (s *Server) plan(req *core.SearchRequest, qs []query, single bool) error {
 		if req.Mode != core.ModeANN && req.Mode != core.ModeHybrid && req.Mode != core.ModeReranked {
 			return core.ErrBadRequest("mode", "unknown search mode %q (want ann, hybrid or reranked)", req.Mode)
 		}
-	case req.QueryType == core.QueryText && single:
+	case core.QueryText:
 		req.Mode = ""
 	default:
-		return core.ErrBadRequest("query", "unknown query type %q (want text, semantic or code; a batch takes the last two)", req.QueryType)
+		return core.ErrBadRequest("query", "unknown query type %q (want text, semantic or code)", req.QueryType)
 	}
 	req.Limit = cmp.Or(max(req.Limit, 0), search.DefaultLimit)
 	if len(qs) == 0 {
@@ -174,34 +173,26 @@ func (s *Server) plan(req *core.SearchRequest, qs []query, single bool) error {
 // that a coordinator's scatter missed a shard, so some answer is a partial
 // view.
 func (s *Server) execute(ctx context.Context, user *core.UserRecord, p core.SearchRequest, qs []query) (degraded bool, err error) {
-	code := p.QueryType == core.QueryCode
-	switch {
-	case p.QueryType == core.QueryText:
-		// Text queries rank over the user's own listing on whichever node
-		// receives them — cheap, no index walk to save, so neither cached
-		// nor scattered.
-		pes := s.reg.PEsForUser(user.UserID)
-		wfs := s.reg.WorkflowsForUser(user.UserID)
-		for i := range qs {
-			qs[i].hits = search.Text(qs[i].text, p.SearchType, pes, wfs, p.Limit)
-		}
-		return false, nil
-	case code && p.SearchType == core.SearchWorkflows:
+	code, text := p.QueryType == core.QueryCode, p.QueryType == core.QueryText
+	if code && p.SearchType == core.SearchWorkflows {
 		// Only PEs carry code embeddings: nothing to rank, on any node.
 		return false, nil
 	}
+	// Text is not scattered: this node's registry answers it even on a
+	// coordinator, so there too its cache entries carry the epoch tag.
+	local := s.cfg.Cluster == nil || text
 
 	// Cache lookup. A query's identity is who asked, what runs (mode +
 	// query type + search type), how much of it (limit) and over what
 	// input — the text and any client-supplied embedding, which the
 	// bi-encoder contract lets differ from what the text would embed to
-	// server-side. A node that answers from its own registry tags entries
-	// with the registry's mutation epoch and the indexes' retrain
-	// generation, so any add/remove/load/restore or retrain invalidates on
-	// the next lookup. A coordinator cannot see its shards' epochs: its tag
-	// never changes and its entries expire by clock (Config.ClusterCacheTTL).
+	// server-side. An answer from this node's registry is tagged with the
+	// registry's mutation epoch and the indexes' retrain generation, so any
+	// add/remove/load/restore or retrain invalidates on the next lookup. A
+	// coordinator cannot see its shards' epochs: a scattered answer's tag
+	// never changes and it expires by clock (Config.ClusterCacheTTL).
 	var tag qcache.Tag
-	if s.cache != nil && s.cfg.Cluster == nil {
+	if s.cache != nil && local {
 		tag = qcache.Tag{Epoch: s.reg.Epoch(), Gen: s.reg.IndexGeneration()}
 	}
 	var misses []int
@@ -232,13 +223,16 @@ func (s *Server) execute(ctx context.Context, user *core.UserRecord, p core.Sear
 
 	// Embed. Bi-encoder contract: clients embed their own queries; the
 	// server embeds only the ones that arrive without a vector — once,
-	// here, so a coordinator's shards compare rather than re-embed.
+	// here, so a coordinator's shards compare rather than re-embed. A text
+	// query compares no vectors.
 	inputs := make([]registry.Input, len(misses))
 	for k, i := range misses {
 		q := &qs[i]
-		if len(q.emb) == 0 && code {
+		switch {
+		case text || len(q.emb) > 0: // nothing to embed
+		case code:
 			q.emb = search.EmbedCode(q.text)
-		} else if len(q.emb) == 0 {
+		default:
 			q.emb = search.EmbedDescription(q.text)
 		}
 		inputs[k] = registry.Input{Text: q.text, Embedding: q.emb}
@@ -252,8 +246,8 @@ func (s *Server) execute(ctx context.Context, user *core.UserRecord, p core.Sear
 	// of them — or, on a coordinator, one scatter per miss over the shards
 	// that hold the corpus. Degraded scatters are never cached: a shard coming back
 	// should be visible on the next attempt, not after a TTL.
-	if s.cfg.Cluster == nil {
-		lists := s.reg.Search(user.UserID, registry.Query{Mode: p.Mode, Code: code, Type: p.SearchType, Limit: p.Limit}, inputs...)
+	if local {
+		lists := s.reg.Search(user.UserID, registry.Query{Mode: p.Mode, Code: code, Text: text, Type: p.SearchType, Limit: p.Limit}, inputs...)
 		for k, i := range misses {
 			qs[i].hits = lists[k]
 			s.cache.Put(qs[i].key, tag, lists[k])

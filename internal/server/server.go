@@ -13,7 +13,8 @@
 // mode resolved against the server's default, limit fixed, embedding
 // widths checked. execute then runs cache lookup → embed → backend → cache
 // fill under the request's context, where the backend is the cluster
-// scatter on a coordinator and registry.Store.Search everywhere else. No
+// scatter on a coordinator (but for text queries, which its own registry
+// answers) and registry.Store.Search everywhere else. No
 // route resolves a mode, touches the cache or calls a backend itself, so
 // none can lack what another has; TestOnePipeline holds that.
 package server
@@ -89,12 +90,13 @@ type Config struct {
 	// scatter-gather across the configured shards instead of probing the
 	// local indexes. Text search and every other endpoint stay local.
 	Cluster *cluster.Coordinator
-	// CacheSize bounds the query-result cache in front of the semantic and
-	// code pipeline, in entries (0 = caching off). A node has one cache,
-	// because it answers those queries one way. Without Cluster, entries
-	// are tagged with the registry mutation epoch and the vector indexes'
-	// retrain generation, so the cache can never serve results computed
-	// against a world that has since changed. See docs/search.md.
+	// CacheSize bounds the query-result cache in front of the query
+	// pipeline, in entries (0 = caching off). A node has one cache.
+	// Answers from this node's registry — all of them without Cluster,
+	// the text ones with it — are tagged with the registry mutation epoch
+	// and the vector indexes' retrain generation, so the cache can never
+	// serve results computed against a world that has since changed. See
+	// docs/search.md.
 	CacheSize int
 	// ClusterCacheTTL bounds staleness of a coordinator's cache: it cannot
 	// observe its shards' mutation epochs, so its cached scatter results
@@ -127,9 +129,10 @@ type Server struct {
 	httpReqs    *telemetry.CounterVec   // laminar_http_requests_total{route,code}
 	httpLatency *telemetry.HistogramVec // laminar_http_request_seconds{route}
 
-	// cache holds semantic/code results in front of the pipeline's backend
-	// (query.go): tag-validated on a node that answers from its own
-	// registry, TTL-expired on a coordinator. Nil when caching is off.
+	// cache holds search results in front of the pipeline's backend
+	// (query.go): tag-validated where this node's registry answered,
+	// TTL-expired where a coordinator's scatter did. Nil when caching is
+	// off.
 	cache *qcache.Cache[[]core.SearchHit]
 
 	// metricsAllow holds the parsed Config.MetricsAllow networks.

@@ -607,10 +607,9 @@ func TestSearchBatchEndpoint(t *testing.T) {
 	if code != 400 || !strings.Contains(raw, "query type") {
 		t.Fatalf("bad query type: %d %s", code, raw)
 	}
-	// The batch route ranks by embedding only, and validates mode and
-	// search type exactly as the single route does: same plan.
+	// The batch route validates mode and search type exactly as the single
+	// route does: same plan.
 	for _, bad := range []core.SearchBatchRequest{
-		{QueryType: core.QueryText, Queries: []string{"x"}},
 		{Mode: "bm25", Queries: []string{"x"}},
 		{SearchType: "everything", Queries: []string{"x"}},
 	} {
