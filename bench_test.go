@@ -10,6 +10,7 @@ package laminar
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -210,6 +211,35 @@ func BenchmarkBiVsCrossEncoder(b *testing.B) {
 			b.Fatal(err)
 		}
 		reportOnce(b, "bivscross", res.Render())
+	}
+}
+
+// BenchmarkRerank times the cross-encoder rerank stage on its own: one
+// search.Rerank of a fused pool of PE hits (4×limit, as reranked search
+// hands it over) whose names and descriptions share most of their words,
+// like the fused pool of a real query does.
+func BenchmarkRerank(b *testing.B) {
+	verbs := []string{"normalize", "filter", "aggregate", "parse", "merge", "count", "sort", "detect"}
+	objects := []string{"sensor readings", "log lines", "photon events", "price ticks", "graph edges", "time series"}
+	quals := []string{"in a sliding window", "per station", "above a threshold", "by timestamp", "across shards"}
+	query := "which release z417 can filter photon events above a threshold"
+	for _, pool := range []int{10, 40, 160} {
+		hits := make([]core.SearchHit, pool)
+		for i := range hits {
+			v, o := verbs[i%len(verbs)], objects[i%len(objects)]
+			hits[i] = core.SearchHit{
+				Kind: "pe", ID: i + 1, Name: fmt.Sprintf("%s%sQ%d", v, strings.ReplaceAll(o, " ", "_"), i),
+				Description: fmt.Sprintf("%s %s %s, release z%d", v, o, quals[i%len(quals)], 400+i),
+			}
+		}
+		b.Run(fmt.Sprintf("pool=%d", pool), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if got := search.Rerank(query, hits, pool/4); len(got) == 0 {
+					b.Fatal("rerank returned nothing")
+				}
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -232,11 +233,11 @@ func runClusterRows(spec clusterBenchSpec) (*ClusterBenchResult, *clusterMeasure
 
 	// Shard c gets a read replica restored from its primary's v2 snapshot:
 	// no k-means, read-only, listed as a failover/hedge target.
-	dir, err := tempDir()
+	dir, err := os.MkdirTemp("", "laminar-bench-*")
 	if err != nil {
 		return nil, nil, err
 	}
-	defer removeAll(dir)
+	defer os.RemoveAll(dir)
 	snapPath := filepath.Join(dir, "shard-c.json")
 	if err := stores["c"].Save(snapPath); err != nil {
 		return nil, nil, fmt.Errorf("clusterbench: saving shard c: %w", err)

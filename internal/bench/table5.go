@@ -2,7 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -109,7 +110,16 @@ type Table5Result struct {
 	Opts Table5Options
 }
 
-// RunTable5 measures all six cells.
+// table5Rounds is how many interleaved passes over the six cells RunTable5
+// takes the per-cell minimum of, after one discarded warm-up pass.
+const table5Rounds = 3
+
+// RunTable5 measures all six cells. One warm-up pass is discarded; then
+// the six are measured interleaved table5Rounds times and each cell
+// reports its minimum. The injected latencies are every run's floor, so
+// the minimum is the sample the host disturbed least, and interleaving
+// spreads a slow spell of the host over all cells instead of one (a
+// single sample per cell inverted the table's shape on noisy hosts).
 func RunTable5(opts Table5Options) (*Table5Result, error) {
 	vos := votable.NewService(opts.VOLatency)
 	voURL, err := vos.Start("127.0.0.1:0")
@@ -119,45 +129,47 @@ func RunTable5(opts Table5Options) (*Table5Result, error) {
 	defer vos.Close()
 	coords := astro.GenerateCoordinates(opts.Coordinates, opts.Seed)
 
-	res := &Table5Result{Opts: opts}
-
-	original := Table5Row{Method: "original dispel4py"}
-	if original.Simple, err = runOriginal(voURL, coords, dataflow.MappingSimple, opts); err != nil {
-		return nil, fmt.Errorf("original/simple: %w", err)
+	res := &Table5Result{Opts: opts, Rows: []Table5Row{
+		{Method: "original dispel4py"},
+		{Method: "Local Execution (with Laminar)"},
+		{Method: "Remote Execution (with Laminar)"},
+	}}
+	for round := 0; round <= table5Rounds; round++ {
+		for i := range res.Rows {
+			row := &res.Rows[i]
+			for _, cell := range []struct {
+				mapping dataflow.Mapping
+				min     *time.Duration
+			}{{dataflow.MappingSimple, &row.Simple}, {dataflow.MappingMulti, &row.Multi}} {
+				var d time.Duration
+				if i == 0 {
+					d, err = runOriginal(voURL, coords, cell.mapping, opts)
+				} else {
+					d, err = runLaminar(voURL, coords, cell.mapping, opts, i == 2)
+				}
+				if err != nil {
+					return nil, fmt.Errorf("%s/%s: %w", row.Method, cell.mapping, err)
+				}
+				if round > 0 && (*cell.min == 0 || d < *cell.min) {
+					*cell.min = d
+				}
+			}
+		}
 	}
-	if original.Multi, err = runOriginal(voURL, coords, dataflow.MappingMulti, opts); err != nil {
-		return nil, fmt.Errorf("original/multi: %w", err)
-	}
-	res.Rows = append(res.Rows, original)
-
-	local := Table5Row{Method: "Local Execution (with Laminar)"}
-	if local.Simple, err = runLaminar(voURL, coords, dataflow.MappingSimple, opts, false); err != nil {
-		return nil, fmt.Errorf("local/simple: %w", err)
-	}
-	if local.Multi, err = runLaminar(voURL, coords, dataflow.MappingMulti, opts, false); err != nil {
-		return nil, fmt.Errorf("local/multi: %w", err)
-	}
-	res.Rows = append(res.Rows, local)
-
-	remote := Table5Row{Method: "Remote Execution (with Laminar)"}
-	if remote.Simple, err = runLaminar(voURL, coords, dataflow.MappingSimple, opts, true); err != nil {
-		return nil, fmt.Errorf("remote/simple: %w", err)
-	}
-	if remote.Multi, err = runLaminar(voURL, coords, dataflow.MappingMulti, opts, true); err != nil {
-		return nil, fmt.Errorf("remote/multi: %w", err)
-	}
-	res.Rows = append(res.Rows, remote)
 	return res, nil
 }
 
 // runOriginal enacts the workflow directly in-process: no registry, no
 // serialization, no engine — plain dispel4py usage.
 func runOriginal(voURL, coords string, mapping dataflow.Mapping, opts Table5Options) (time.Duration, error) {
-	dir, cleanup, err := stageCoords(coords)
+	dir, err := os.MkdirTemp("", "laminar-bench-*")
 	if err != nil {
 		return 0, err
 	}
-	defer cleanup()
+	defer os.RemoveAll(dir)
+	if err := os.WriteFile(filepath.Join(dir, "coordinates.txt"), []byte(coords), 0o644); err != nil {
+		return 0, err
+	}
 	build, err := pype.BuildWorkflow(AstrophysicsSource, pype.Options{
 		ResourceDir: dir,
 		Modules:     engine.ScienceModules(voURL, 10*time.Second),
@@ -216,17 +228,6 @@ func runLaminar(voURL, coords string, mapping dataflow.Mapping, opts Table5Optio
 	return time.Since(start), err
 }
 
-func stageCoords(coords string) (string, func(), error) {
-	dir, err := tempDir()
-	if err != nil {
-		return "", nil, err
-	}
-	if err := writeFile(dir+"/coordinates.txt", coords); err != nil {
-		return "", nil, err
-	}
-	return dir, func() { removeAll(dir) }, nil
-}
-
 // Render prints the table in the paper's layout.
 func (t *Table5Result) Render() string {
 	var sb strings.Builder
@@ -244,6 +245,3 @@ func (t *Table5Result) Render() string {
 func formatSeconds(d time.Duration) string {
 	return fmt.Sprintf("%.3f sec.", d.Seconds())
 }
-
-// discard is an io.Writer sink for silenced runs.
-var discard io.Writer = io.Discard

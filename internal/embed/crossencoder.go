@@ -1,6 +1,10 @@
 package embed
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // CrossEncoder scores (query, candidate) pairs with token-level soft
 // alignment instead of comparing two pre-computed vectors — the
@@ -22,22 +26,67 @@ func NewCrossEncoder(m *Model) *CrossEncoder { return &CrossEncoder{m: m} }
 // token the best-matching candidate token (and vice versa), averaged —
 // the late-interaction scoring of ColBERT-style cross architectures.
 func (ce *CrossEncoder) Score(query, candidate string) float64 {
+	return ce.Prepare(query).Score(candidate)
+}
+
+// Prepare resolves the query's tokens and directions once and returns a
+// scorer for candidates against it (not safe for concurrent use).
+func (ce *CrossEncoder) Prepare(query string) *QueryScorer {
 	qt := ce.prepTokens(query)
-	ct := ce.prepTokens(candidate)
-	if len(qt) == 0 || len(ct) == 0 {
-		return 0
-	}
 	qv := make([]Vector, len(qt))
 	for i, t := range qt {
 		qv[i] = ce.m.direction("tok:" + t)
 	}
-	cv := make([]Vector, len(ct))
-	for i, t := range ct {
-		cv[i] = ce.m.direction("tok:" + t)
+	return &QueryScorer{ce: ce, qv: qv, rows: map[string][]float64{}, best: make([]float64, len(qv))}
+}
+
+// QueryScorer memoises, per distinct candidate token, the token's row of
+// cosines against every query token, so a pool of candidates sharing
+// vocabulary computes each cosine once. Each row is consumed in the order
+// the pair-wise loops would visit it and vecmath.Dot is symmetric, so
+// every score is bit-identical to the pair-wise one.
+type QueryScorer struct {
+	ce   *CrossEncoder
+	qv   []Vector
+	rows map[string][]float64 // candidate token → cosine against each of qv
+	best []float64            // each query token's best cosine in one Score
+}
+
+// Score is CrossEncoder.Score(query, candidate) for the prepared query.
+func (p *QueryScorer) Score(candidate string) float64 {
+	ct := p.ce.prepTokens(candidate)
+	if len(p.qv) == 0 || len(ct) == 0 {
+		return 0
 	}
-	forward := ce.bestMatchMean(qv, cv)
-	backward := ce.bestMatchMean(cv, qv)
-	return (forward + backward) / 2
+	for i := range p.best {
+		p.best[i] = math.Inf(-1)
+	}
+	var forward, backward float64
+	for _, t := range ct {
+		r, ok := p.rows[t]
+		if !ok {
+			r = make([]float64, len(p.qv))
+			cv := p.ce.m.direction("tok:" + t)
+			for i, qv := range p.qv {
+				r[i] = Cosine(qv, cv)
+			}
+			p.rows[t] = r
+		}
+		rowBest := math.Inf(-1)
+		for i, s := range r {
+			if s > p.best[i] {
+				p.best[i] = s
+			}
+			if s > rowBest {
+				rowBest = s
+			}
+		}
+		backward += rowBest
+	}
+	for _, s := range p.best {
+		forward += s
+	}
+	return (forward/float64(len(p.qv)) + backward/float64(len(ct))) / 2
 }
 
 func (ce *CrossEncoder) prepTokens(text string) []string {
@@ -61,64 +110,17 @@ func (ce *CrossEncoder) prepTokens(text string) []string {
 	return out
 }
 
-// weightedBestMatch scores IDF-weighted query tokens against their best
-// candidate-token alignments.
-func weightedBestMatch(qVecs []Vector, qWeights []float64, cVecs []Vector) float64 {
-	if len(qVecs) == 0 || len(cVecs) == 0 {
-		return 0
-	}
-	var total, wsum float64
-	for i, qv := range qVecs {
-		best := math.Inf(-1)
-		for _, cv := range cVecs {
-			if s := Cosine(qv, cv); s > best {
-				best = s
-			}
-		}
-		total += qWeights[i] * best
-		wsum += qWeights[i]
-	}
-	if wsum == 0 {
-		return 0
-	}
-	return total / wsum
-}
-
-func (ce *CrossEncoder) bestMatchMean(a, b []Vector) float64 {
-	var total float64
-	for _, av := range a {
-		best := math.Inf(-1)
-		for _, bv := range b {
-			if s := Cosine(av, bv); s > best {
-				best = s
-			}
-		}
-		total += best
-	}
-	return total / float64(len(a))
-}
-
-// RankStrings orders candidate texts by cross-encoder score, descending.
+// RankStrings orders candidate texts by cross-encoder score, descending,
+// ties in ascending index order.
 func (ce *CrossEncoder) RankStrings(query string, candidates []string) ([]int, []float64) {
+	p := ce.Prepare(query)
 	scores := make([]float64, len(candidates))
-	for i, c := range candidates {
-		scores[i] = ce.Score(query, c)
-	}
 	idxs := make([]int, len(candidates))
-	for i := range idxs {
+	for i, c := range candidates {
+		scores[i] = p.Score(c)
 		idxs[i] = i
 	}
-	// descending by score, ascending index for ties
-	for i := 1; i < len(idxs); i++ {
-		for j := i; j > 0; j-- {
-			a, b := idxs[j], idxs[j-1]
-			if scores[a] > scores[b] || (scores[a] == scores[b] && a < b) {
-				idxs[j], idxs[j-1] = idxs[j-1], idxs[j]
-			} else {
-				break
-			}
-		}
-	}
+	slices.SortStableFunc(idxs, func(a, b int) int { return cmp.Compare(scores[b], scores[a]) })
 	ordered := make([]float64, len(idxs))
 	for i, idx := range idxs {
 		ordered[i] = scores[idx]
