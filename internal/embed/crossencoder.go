@@ -52,6 +52,11 @@ type QueryScorer struct {
 	best []float64            // each query token's best cosine in one Score
 }
 
+// memoFloats caps the cosines one QueryScorer memoises (8 MiB), so a
+// call's memory stays flat however long the client's query is; rows past
+// it are recomputed, which costs time, not bits.
+const memoFloats = 1 << 20
+
 // Score is CrossEncoder.Score(query, candidate) for the prepared query.
 func (p *QueryScorer) Score(candidate string) float64 {
 	ct := p.ce.prepTokens(candidate)
@@ -70,7 +75,9 @@ func (p *QueryScorer) Score(candidate string) float64 {
 			for i, qv := range p.qv {
 				r[i] = Cosine(qv, cv)
 			}
-			p.rows[t] = r
+			if (len(p.rows)+1)*len(r) <= memoFloats {
+				p.rows[t] = r
+			}
 		}
 		rowBest := math.Inf(-1)
 		for i, s := range r {

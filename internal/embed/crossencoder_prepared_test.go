@@ -128,3 +128,36 @@ func BenchmarkCrossEncoderPool(b *testing.B) {
 		})
 	}
 }
+
+// TestPreparedScorerMemoIsBounded: a query long enough that the pool's
+// rows would pass memoFloats memoises only up to it, recomputes the rest,
+// and still scores every candidate bit for bit as the seed's Score does.
+func TestPreparedScorerMemoIsBounded(t *testing.T) {
+	ce := NewCrossEncoder(MustLookup(ModelCodeSearch))
+	query := strings.Repeat("photon sensor readings window ", 15000)
+	candidates := []string{
+		"alpha bravo charlie delta echo foxtrot golf hotel india juliet",
+		"kilo lima mike november oscar papa quebec romeo sierra tango",
+	}
+	p := ce.Prepare(query)
+	if len(p.qv)*len(candidates)*10 <= memoFloats {
+		t.Fatalf("a %d-token query fits the memo; the test needs a longer one", len(p.qv))
+	}
+	want := make([]float64, len(candidates))
+	for i, c := range candidates {
+		want[i] = ce.seedScore(query, c)
+	}
+	for round := range 2 {
+		for i, c := range candidates {
+			if got := p.Score(c); math.Float64bits(got) != math.Float64bits(want[i]) {
+				t.Fatalf("round %d: Score(%q) = %v, the seed's Score says %v", round, c, got, want[i])
+			}
+			if len(p.rows)*len(p.qv) > memoFloats {
+				t.Fatalf("memo holds %d rows of %d cosines, cap %d", len(p.rows), len(p.qv), memoFloats)
+			}
+		}
+	}
+	if len(p.rows) >= 20 {
+		t.Fatalf("all %d rows memoised past the cap", len(p.rows))
+	}
+}

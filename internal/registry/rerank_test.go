@@ -7,69 +7,19 @@ import (
 	"testing"
 
 	"laminar/internal/core"
-	"laminar/internal/embed"
 	"laminar/internal/index"
 	"laminar/internal/search"
 )
 
-// seedRerank is the seed's rerank stage, verbatim up to the ranker:
-// seedRankStrings scores every candidate pair by pair through
-// CrossEncoder.Score (a fresh scorer per pair, which FuzzCrossEncoderScore
-// holds to the seed's Score bit for bit) and orders them by the seed's
-// insertion sort.
-func seedRerank(query string, hits []core.SearchHit, limit int) []core.SearchHit {
-	texts := make([]string, len(hits))
-	for i, h := range hits {
-		texts[i] = h.Name + "\n" + h.Description
-	}
-	ce := embed.NewCrossEncoder(embed.MustLookup(search.TextModel))
-	order, scores := seedRankStrings(ce, query, texts)
-	out := make([]core.SearchHit, 0, min(limit, len(hits)))
-	for i, idx := range order {
-		if len(out) == limit {
-			break
-		}
-		h := hits[idx]
-		h.Score = scores[i]
-		out = append(out, h)
-	}
-	return out
-}
-
-func seedRankStrings(ce *embed.CrossEncoder, query string, candidates []string) ([]int, []float64) {
-	scores := make([]float64, len(candidates))
-	for i, c := range candidates {
-		scores[i] = ce.Score(query, c)
-	}
-	idxs := make([]int, len(candidates))
-	for i := range idxs {
-		idxs[i] = i
-	}
-	// descending by score, ascending index for ties
-	for i := 1; i < len(idxs); i++ {
-		for j := i; j > 0; j-- {
-			a, b := idxs[j], idxs[j-1]
-			if scores[a] > scores[b] || (scores[a] == scores[b] && a < b) {
-				idxs[j], idxs[j-1] = idxs[j-1], idxs[j]
-			} else {
-				break
-			}
-		}
-	}
-	ordered := make([]float64, len(idxs))
-	for i, idx := range idxs {
-		ordered[i] = scores[idx]
-	}
-	return idxs, ordered
-}
-
-// TestRerankedSearchMatchesSeedRerankOfHybridPool: a reranked Search over
-// an exact index (RecallTarget 1.0) answers what the seed's pair-wise
-// rerank makes of the same fused pool — 4×limit hits from both legs —
-// hit for hit and score bit for score bit. The corpus repeats its
-// vocabulary and carries exact-duplicate descriptions, so pools share
-// most tokens and hold ties.
-func TestRerankedSearchMatchesSeedRerankOfHybridPool(t *testing.T) {
+// TestRerankedSearchReranksTheHybridPool: a reranked Search over an
+// exact index (RecallTarget 1.0) answers what search.Rerank makes of the
+// fused pool — 4×limit hits from both legs — hit for hit and score bit for
+// score bit. The ranker itself is held to the seed's pair-wise rerank by
+// TestRankStringsMatchesSeedOverRandomPools and FuzzCrossEncoderScore in
+// internal/embed; this test holds the pool that reaches it. The corpus
+// repeats its vocabulary and carries exact-duplicate descriptions, so pools
+// share most tokens and hold ties.
+func TestRerankedSearchReranksTheHybridPool(t *testing.T) {
 	s := NewStore()
 	s.ConfigureIndex(func() index.VectorIndex {
 		return index.NewClustered(index.ClusteredConfig{RecallTarget: 1.0})
@@ -128,14 +78,14 @@ func TestRerankedSearchMatchesSeedRerankOfHybridPool(t *testing.T) {
 			for _, limit := range []int{1, 5, 10} {
 				pool := limit * hybridOverfetch
 				ann := s.Search(u.UserID, Query{Type: typ, Limit: pool}, Input{Embedding: emb})[0]
-				want := seedRerank(text, search.FuseRRF(pool, ann, lexLeg(text, typ, pool)), limit)
+				want := search.Rerank(text, search.FuseRRF(pool, ann, lexLeg(text, typ, pool)), limit)
 				got := s.Search(u.UserID, Query{Mode: core.ModeReranked, Type: typ, Limit: limit}, Input{Text: text, Embedding: emb})[0]
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%q type %v limit %d:\n got %+v\nwant %+v", text, typ, limit, got, want)
 				}
 				for i := range got {
 					if math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
-						t.Fatalf("%q type %v limit %d: hit %d scored %v, the seed's rerank says %v", text, typ, limit, i, got[i].Score, want[i].Score)
+						t.Fatalf("%q type %v limit %d: hit %d scored %v, search.Rerank says %v", text, typ, limit, i, got[i].Score, want[i].Score)
 					}
 				}
 				compared += len(got)
