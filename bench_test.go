@@ -10,12 +10,15 @@ package laminar
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"laminar/internal/bench"
+	"laminar/internal/codec"
 	"laminar/internal/core"
+	"laminar/internal/engine"
 	"laminar/internal/index"
 	"laminar/internal/registry"
 	"laminar/internal/search"
@@ -252,5 +255,100 @@ func BenchmarkEmbeddingReuse(b *testing.B) {
 			b.Fatal(err)
 		}
 		reportOnce(b, "reuse", res.Render())
+	}
+}
+
+// flowRunWorkflows are the two workflows of the repository benchmark's
+// flow_run workload (benchmark/ops.go): isprime is interpreter-bound,
+// wordcount is shuffle-bound.
+var flowRunWorkflows = []struct{ name, source string }{
+	{"isprime", `import random
+
+class NumberProducer(ProducerPE):
+    def __init__(self):
+        ProducerPE.__init__(self)
+    def _process(self):
+        return random.randint(1, 1000)
+
+class IsPrime(IterativePE):
+    def __init__(self):
+        IterativePE.__init__(self)
+    def _process(self, num):
+        if num >= 2 and all(num % i != 0 for i in range(2, num)):
+            return num
+
+class PrintPrime(ConsumerPE):
+    def __init__(self):
+        ConsumerPE.__init__(self)
+    def _process(self, num):
+        print("the num %s is prime" % num)
+
+pe1 = NumberProducer()
+pe2 = IsPrime()
+pe3 = PrintPrime()
+graph = WorkflowGraph()
+graph.connect(pe1, 'output', pe2, 'input')
+graph.connect(pe2, 'output', pe3, 'input')
+`},
+	{"wordcount", `import random
+from collections import defaultdict
+
+class WordProducer(ProducerPE):
+    def __init__(self):
+        ProducerPE.__init__(self)
+        self.words = ["stream", "data", "flow", "serverless", "registry", "laminar"]
+    def _process(self):
+        word = random.choice(self.words)
+        return (word, 1)
+
+class CountWords(GenericPE):
+    def __init__(self):
+        GenericPE.__init__(self)
+        self._add_input("input", grouping=[0])
+        self._add_output("output")
+        self.count = defaultdict(int)
+    def _process(self, inputs):
+        word, count = inputs['input']
+        self.count[word] += count
+    def _postprocess(self):
+        for word in self.count.keys():
+            self.write("output", (word, self.count[word]))
+
+graph = WorkflowGraph()
+wp = WordProducer()
+cw = CountWords()
+graph.connect(wp, 'output', cw, 'input')
+`},
+}
+
+// BenchmarkFlowRun times one in-process engine.Execute of each flow_run
+// workflow under each mapping, 500 records each, with the request flow_run
+// posts. It measures the enactment stack (codec, pype, dataflow, pycode)
+// without HTTP or a server process, so it needs no quiet host.
+func BenchmarkFlowRun(b *testing.B) {
+	eng := engine.New(engine.Config{})
+	for _, wf := range flowRunWorkflows {
+		imports, err := engine.DetectImports(wf.source)
+		if err != nil {
+			b.Fatal(err)
+		}
+		code, err := codec.Encode(codec.Envelope{Kind: codec.KindWorkflow, Name: wf.name, Source: wf.source, Imports: imports})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, mapping := range []string{"SIMPLE", "MULTI", "MPI", "REDIS"} {
+			req := core.ExecutionRequest{
+				WorkflowCode: code, Input: 500, Process: mapping,
+				Args: map[string]any{"num": runtime.NumCPU()}, Seed: 7,
+			}
+			b.Run(wf.name+"/"+mapping, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := eng.Execute(req); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -2,6 +2,7 @@ package embed
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -63,6 +64,30 @@ func TestEmbeddingsDeterministic(t *testing.T) {
 	b := m.Embed("reverse a string")
 	if Cosine(a, b) < 0.9999 {
 		t.Error("same input must embed identically")
+	}
+}
+
+// A text's noise direction is recomputed on every Embed, not memoised:
+// 10k distinct texts add no "noise:" key to the direction cache, and a
+// repeated text still embeds bit-identically.
+func TestNoiseDirectionIsNotMemoised(t *testing.T) {
+	m := MustLookup(ModelCodeSearch)
+	words := strings.Fields("stream data flow prime number count word filter merge sort")
+	for i := 0; i < 10000; i++ {
+		m.Embed(words[i%10] + " " + words[i/10%10] + " " + words[i/100%10] + " " + words[i/1000%10])
+	}
+	m.cache.Range(func(k, _ any) bool {
+		if strings.HasPrefix(k.(string), "noise:") {
+			t.Errorf("direction cache holds %q", k)
+			return false
+		}
+		return true
+	})
+	a, b := m.Embed("count words in a stream"), m.Embed("count words in a stream")
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			t.Fatalf("repeat embed differs at %d: %v vs %v", i, a[i], b[i])
+		}
 	}
 }
 

@@ -98,12 +98,20 @@ func hashString(seed uint64, s string) uint64 {
 	return h
 }
 
-// direction returns the deterministic pseudo-random unit direction for a
-// feature string under this model's seed.
+// direction returns newDirection(feature), memoised: token and n-gram
+// features recur across inputs, so each is computed once.
 func (m *Model) direction(feature string) Vector {
 	if v, ok := m.cache.Load(feature); ok {
 		return v.(Vector)
 	}
+	v := m.newDirection(feature)
+	m.cache.Store(feature, v)
+	return v
+}
+
+// newDirection computes the deterministic pseudo-random unit direction for
+// a feature string under this model's seed.
+func (m *Model) newDirection(feature string) Vector {
 	h := hashString(m.cfg.Seed, feature)
 	v := make(Vector, Dim)
 	state := h
@@ -132,7 +140,6 @@ func (m *Model) direction(feature string) Vector {
 			v[i] = float32(float64(v[i]) / norm)
 		}
 	}
-	m.cache.Store(feature, v)
 	return v
 }
 
@@ -202,10 +209,12 @@ func (m *Model) Embed(text string) Vector {
 		}
 	}
 	// input-dependent noise: fraction of the signal norm pointed in a
-	// direction that depends on the exact input text.
+	// direction that depends on the exact input text. It is not memoised:
+	// a text's noise direction serves only that text, so a cache of them
+	// would grow with every distinct input and rarely be hit.
 	sig := l2(acc)
 	if m.cfg.Noise > 0 && sig > 0 {
-		nd := m.direction("noise:" + text)
+		nd := m.newDirection("noise:" + text)
 		nw := m.cfg.Noise * sig
 		for i := range acc {
 			acc[i] += nw * float64(nd[i])

@@ -31,9 +31,13 @@ type Message struct {
 
 // World is a set of communicating ranks (the simulated MPI_COMM_WORLD).
 type World struct {
-	size    int
-	mu      sync.Mutex
-	cond    *sync.Cond
+	size int
+	mu   sync.Mutex
+	// arrived[r] wakes rank r's Recv when its mailbox gains a message;
+	// space wakes senders parked on a full mailbox. A send or receive
+	// wakes only the goroutines waiting for what it changed.
+	arrived []*sync.Cond
+	space   *sync.Cond
 	queues  [][]Message // per-destination mailbox
 	aborted bool
 	// queueCap bounds each mailbox (0 = unbounded). Senders block while a
@@ -74,8 +78,11 @@ func NewWorld(size int) (*World, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("mpi: world size must be positive, got %d", size)
 	}
-	w := &World{size: size, queues: make([][]Message, size)}
-	w.cond = sync.NewCond(&w.mu)
+	w := &World{size: size, queues: make([][]Message, size), arrived: make([]*sync.Cond, size)}
+	for r := range w.arrived {
+		w.arrived[r] = sync.NewCond(&w.mu)
+	}
+	w.space = sync.NewCond(&w.mu)
 	w.barrierCond = sync.NewCond(&w.barrierMu)
 	return w, nil
 }
@@ -88,7 +95,10 @@ func (w *World) Abort() {
 	w.mu.Lock()
 	w.aborted = true
 	w.mu.Unlock()
-	w.cond.Broadcast()
+	for _, c := range w.arrived {
+		c.Broadcast()
+	}
+	w.space.Broadcast()
 	w.barrierMu.Lock()
 	w.barrierMu.Unlock()
 	w.barrierCond.Broadcast()
@@ -135,14 +145,14 @@ func (c *Comm) Send(dest, tag int, data any) error {
 				continue
 			}
 		}
-		w.cond.Wait()
+		w.space.Wait()
 	}
 	defer w.mu.Unlock()
 	if w.aborted {
 		return ErrAborted
 	}
 	w.queues[dest] = append(w.queues[dest], Message{Source: c.rank, Tag: tag, Data: data})
-	w.cond.Broadcast()
+	w.arrived[dest].Broadcast()
 	return nil
 }
 
@@ -160,13 +170,20 @@ func (c *Comm) Recv(source, tag int) (Message, error) {
 		q := w.queues[c.rank]
 		for i, m := range q {
 			if (source == AnySource || m.Source == source) && (tag == AnyTag || m.Tag == tag) {
-				w.queues[c.rank] = append(append([]Message(nil), q[:i]...), q[i+1:]...)
-				// Freed mailbox space: wake senders parked on the cap.
-				w.cond.Broadcast()
+				// Shift the skipped prefix over the taken message and drop
+				// the head: taking the first message is O(1), not a copy of
+				// the mailbox.
+				copy(q[1:i+1], q[:i])
+				q[0] = Message{}
+				w.queues[c.rank] = q[1:]
+				if w.queueCap > 0 && len(q) >= w.queueCap {
+					// Freed space in a full mailbox: wake parked senders.
+					w.space.Broadcast()
+				}
 				return m, nil
 			}
 		}
-		w.cond.Wait()
+		w.arrived[c.rank].Wait()
 	}
 }
 

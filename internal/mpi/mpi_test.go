@@ -230,3 +230,43 @@ func TestProbe(t *testing.T) {
 		t.Fatalf("recv after probe failed: %v %v", m, err)
 	}
 }
+
+// Taking a message off a long mailbox moves nothing but the skipped
+// prefix: draining 10k queued messages allocates nothing, and a tag
+// matched past the head leaves the rest in send order.
+func TestRecvTakesFromLongMailboxInPlace(t *testing.T) {
+	w, _ := NewWorld(2)
+	src, _ := w.CommForRank(0)
+	dst, _ := w.CommForRank(1)
+	const n = 10000
+	for i := 0; i < n; i++ {
+		if err := src.Send(1, 1, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(n-1, func() {
+		m, err := dst.Recv(AnySource, 1)
+		if err != nil || m.Data != next {
+			t.Fatalf("Recv = %v, %v; want %d", m.Data, err, next)
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("Recv allocates %.2f times per message, want 0", allocs)
+	}
+
+	for i, tag := range []int{1, 1, 2, 1} {
+		if err := src.Send(1, tag, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m, _ := dst.Recv(0, 2); m.Data != 2 {
+		t.Fatalf("tag 2: got %v, want 2", m.Data)
+	}
+	for _, want := range []int{0, 1, 3} {
+		if m, _ := dst.Recv(0, 1); m.Data != want {
+			t.Fatalf("tag 1: got %v, want %d", m.Data, want)
+		}
+	}
+}

@@ -294,15 +294,18 @@ type LambdaExpr struct {
 	Body   Expr
 }
 
-// CompExpr is a list comprehension or generator expression:
-// [Elt for Target in Iter if Cond]. Generator expressions in call position
-// are evaluated eagerly as lists (sufficient for all(...) / any(...)).
+// CompExpr is a comprehension, [Elt for Target in Iter if Cond], or, with
+// IsGen, a generator expression: in call position, f(x for x in xs), or
+// parenthesised, (x for x in xs). A generator expression evaluates to a
+// lazy *Generator; the others build their list, set or dict at once.
 type CompExpr struct {
 	position
 	Elt    Expr
 	Target Expr
 	Iter   Expr
 	Cond   Expr // may be nil
+	IsGen  bool
+	IsSet  bool
 	IsDict bool
 	Val    Expr // value expr when IsDict
 }

@@ -71,41 +71,15 @@ func builtinTable(ip *Interp) map[string]Value {
 				step = v3
 			}
 		}
-		n := int64(0)
-		if step > 0 && stop > start {
-			n = (stop - start + step - 1) / step
-		} else if step < 0 && stop < start {
-			n = (start - stop - step - 1) / (-step)
-		}
-		if n > 50_000_000 {
-			return nil, Raise("MemoryError", "range too large")
-		}
-		items := make([]Value, 0, n)
-		for v := start; (step > 0 && v < stop) || (step < 0 && v > stop); v += step {
-			items = append(items, Int(v))
-		}
-		return &List{Items: items}, nil
+		return &Range{Start: start, Stop: stop, Step: step}, nil
 	})
 
 	b["len"] = nf("len", func(ip *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 		if err := wantArgs("len", args, 1, 1); err != nil {
 			return nil, err
 		}
-		switch x := args[0].(type) {
-		case Str:
-			return Int(len([]rune(string(x)))), nil
-		case *List:
-			return Int(len(x.Items)), nil
-		case *Tuple:
-			return Int(len(x.Items)), nil
-		case *Dict:
-			return Int(x.Len()), nil
-		case *Set:
-			return Int(x.Len()), nil
-		case *NativeObject:
-			if x.Length != nil {
-				return Int(x.Length()), nil
-			}
+		if n, ok := seqLen(args[0]); ok {
+			return Int(n), nil
 		}
 		return nil, Raise("TypeError", "object of type %s has no len()", TypeName(args[0]))
 	})
@@ -128,21 +102,22 @@ func builtinTable(ip *Interp) map[string]Value {
 
 	minmax := func(name string, wantMax bool) *NativeFunc {
 		return nf(name, func(ip *Interp, args []Value, kwargs map[string]Value) (Value, error) {
-			var items []Value
+			items := over(args)
 			if len(args) == 1 {
-				it, err := ip.iterate(args[0])
+				it, err := ip.iter(args[0])
 				if err != nil {
 					return nil, err
 				}
 				items = it
-			} else {
-				items = args
 			}
-			if len(items) == 0 {
+			best, ok, err := items.Next()
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
 				return nil, Raise("ValueError", "%s() arg is an empty sequence", name)
 			}
 			keyFn := kwargs["key"]
-			best := items[0]
 			bestKey := best
 			if keyFn != nil {
 				k, err := ip.Call(keyFn, best)
@@ -151,7 +126,14 @@ func builtinTable(ip *Interp) map[string]Value {
 				}
 				bestKey = k
 			}
-			for _, it := range items[1:] {
+			for {
+				it, ok, err := items.Next()
+				if err != nil {
+					return nil, err
+				}
+				if !ok {
+					return best, nil
+				}
 				k := it
 				if keyFn != nil {
 					kk, err := ip.Call(keyFn, it)
@@ -168,7 +150,6 @@ func builtinTable(ip *Interp) map[string]Value {
 					best, bestKey = it, k
 				}
 			}
-			return best, nil
 		})
 	}
 	b["min"] = minmax("min", false)
@@ -178,7 +159,7 @@ func builtinTable(ip *Interp) map[string]Value {
 		if err := wantArgs("sum", args, 1, 2); err != nil {
 			return nil, err
 		}
-		items, err := ip.iterate(args[0])
+		items, err := ip.iter(args[0])
 		if err != nil {
 			return nil, err
 		}
@@ -186,46 +167,46 @@ func builtinTable(ip *Interp) map[string]Value {
 		if len(args) == 2 {
 			acc = args[1]
 		}
-		for _, it := range items {
-			acc, err = numericOp("+", acc, it)
+		for {
+			it, ok, err := items.Next()
 			if err != nil {
 				return nil, err
 			}
-		}
-		return acc, nil
-	})
-
-	b["all"] = nf("all", func(ip *Interp, args []Value, kwargs map[string]Value) (Value, error) {
-		if err := wantArgs("all", args, 1, 1); err != nil {
-			return nil, err
-		}
-		items, err := ip.iterate(args[0])
-		if err != nil {
-			return nil, err
-		}
-		for _, it := range items {
-			if !Truthy(it) {
-				return Bool(false), nil
+			if !ok {
+				return acc, nil
+			}
+			if acc, err = numericOp("+", acc, it); err != nil {
+				return nil, err
 			}
 		}
-		return Bool(true), nil
 	})
 
-	b["any"] = nf("any", func(ip *Interp, args []Value, kwargs map[string]Value) (Value, error) {
-		if err := wantArgs("any", args, 1, 1); err != nil {
-			return nil, err
-		}
-		items, err := ip.iterate(args[0])
-		if err != nil {
-			return nil, err
-		}
-		for _, it := range items {
-			if Truthy(it) {
-				return Bool(true), nil
+	// all and any stop at the first item that decides them.
+	allAny := func(name string, stopAt bool) *NativeFunc {
+		return nf(name, func(ip *Interp, args []Value, kwargs map[string]Value) (Value, error) {
+			if err := wantArgs(name, args, 1, 1); err != nil {
+				return nil, err
 			}
-		}
-		return Bool(false), nil
-	})
+			items, err := ip.iter(args[0])
+			if err != nil {
+				return nil, err
+			}
+			for {
+				it, ok, err := items.Next()
+				if err != nil {
+					return nil, err
+				}
+				if !ok {
+					return Bool(!stopAt), nil
+				}
+				if Truthy(it) == stopAt {
+					return Bool(stopAt), nil
+				}
+			}
+		})
+	}
+	b["all"] = allAny("all", false)
+	b["any"] = allAny("any", true)
 
 	b["sorted"] = nf("sorted", func(ip *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 		if err := wantArgs("sorted", args, 1, 1); err != nil {
@@ -264,96 +245,99 @@ func builtinTable(ip *Interp) map[string]Value {
 		if err := wantArgs("enumerate", args, 1, 2); err != nil {
 			return nil, err
 		}
-		items, err := ip.iterate(args[0])
+		items, err := ip.iter(args[0])
 		if err != nil {
 			return nil, err
 		}
-		start := int64(0)
+		n := int64(0)
 		if len(args) == 2 {
 			s, ok := asInt(args[1])
 			if !ok {
 				return nil, Raise("TypeError", "enumerate() start must be int")
 			}
-			start = s
+			n = s
 		}
-		out := make([]Value, len(items))
-		for i, it := range items {
-			out[i] = &Tuple{Items: []Value{Int(start + int64(i)), it}}
-		}
-		return &List{Items: out}, nil
+		return &Generator{Name: "enumerate", next: func() (Value, bool, error) {
+			it, ok, err := items.Next()
+			if !ok || err != nil {
+				return nil, false, err
+			}
+			n++
+			return &Tuple{Items: []Value{Int(n - 1), it}}, true, nil
+		}}, nil
 	})
 
 	b["zip"] = nf("zip", func(ip *Interp, args []Value, kwargs map[string]Value) (Value, error) {
-		if len(args) == 0 {
-			return &List{}, nil
-		}
-		seqs := make([][]Value, len(args))
-		n := -1
+		its := make([]iterator, len(args))
 		for i, a := range args {
-			it, err := ip.iterate(a)
+			it, err := ip.iter(a)
 			if err != nil {
 				return nil, err
 			}
-			seqs[i] = it
-			if n < 0 || len(it) < n {
-				n = len(it)
-			}
+			its[i] = it
 		}
-		out := make([]Value, n)
-		for i := 0; i < n; i++ {
-			row := make([]Value, len(seqs))
-			for j := range seqs {
-				row[j] = seqs[j][i]
+		// Like CPython, a row pulls from each iterable in turn and stops at
+		// the first one that is exhausted.
+		return &Generator{Name: "zip", next: func() (Value, bool, error) {
+			if len(its) == 0 {
+				return nil, false, nil
 			}
-			out[i] = &Tuple{Items: row}
-		}
-		return &List{Items: out}, nil
+			row := make([]Value, len(its))
+			for j, it := range its {
+				v, ok, err := it.Next()
+				if !ok || err != nil {
+					return nil, false, err
+				}
+				row[j] = v
+			}
+			return &Tuple{Items: row}, true, nil
+		}}, nil
 	})
 
 	b["map"] = nf("map", func(ip *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 		if err := wantArgs("map", args, 2, 2); err != nil {
 			return nil, err
 		}
-		items, err := ip.iterate(args[1])
+		items, err := ip.iter(args[1])
 		if err != nil {
 			return nil, err
 		}
-		out := make([]Value, len(items))
-		for i, it := range items {
-			v, err := ip.Call(args[0], it)
-			if err != nil {
-				return nil, err
+		return &Generator{Name: "map", next: func() (Value, bool, error) {
+			it, ok, err := items.Next()
+			if !ok || err != nil {
+				return nil, false, err
 			}
-			out[i] = v
-		}
-		return &List{Items: out}, nil
+			v, err := ip.Call(args[0], it)
+			return v, err == nil, err
+		}}, nil
 	})
 
 	b["filter"] = nf("filter", func(ip *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 		if err := wantArgs("filter", args, 2, 2); err != nil {
 			return nil, err
 		}
-		items, err := ip.iterate(args[1])
+		items, err := ip.iter(args[1])
 		if err != nil {
 			return nil, err
 		}
-		var out []Value
-		for _, it := range items {
-			if _, isNone := args[0].(NoneVal); isNone {
-				if Truthy(it) {
-					out = append(out, it)
+		_, byTruth := args[0].(NoneVal)
+		return &Generator{Name: "filter", next: func() (Value, bool, error) {
+			for {
+				it, ok, err := items.Next()
+				if !ok || err != nil {
+					return nil, false, err
 				}
-				continue
+				keep := it
+				if !byTruth {
+					if keep, err = ip.Call(args[0], it); err != nil {
+						return nil, false, err
+					}
+				}
+				if Truthy(keep) {
+					return it, true, nil
+				}
 			}
-			v, err := ip.Call(args[0], it)
-			if err != nil {
-				return nil, err
-			}
-			if Truthy(v) {
-				out = append(out, it)
-			}
-		}
-		return &List{Items: out}, nil
+		}}, nil
 	})
 
 	b["int"] = nf("int", func(ip *Interp, args []Value, kwargs map[string]Value) (Value, error) {
@@ -484,18 +468,25 @@ func builtinTable(ip *Interp) map[string]Value {
 
 	b["set"] = nf("set", func(ip *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 		s := NewSet()
-		if len(args) == 1 {
-			items, err := ip.iterate(args[0])
+		if len(args) == 0 {
+			return s, nil
+		}
+		items, err := ip.iter(args[0])
+		if err != nil {
+			return nil, err
+		}
+		for {
+			it, ok, err := items.Next()
 			if err != nil {
 				return nil, err
 			}
-			for _, it := range items {
-				if err := s.Add(it); err != nil {
-					return nil, Raise("TypeError", "%s", err)
-				}
+			if !ok {
+				return s, nil
+			}
+			if err := s.Add(it); err != nil {
+				return nil, Raise("TypeError", "%s", err)
 			}
 		}
-		return s, nil
 	})
 
 	b["round"] = nf("round", func(ip *Interp, args []Value, kwargs map[string]Value) (Value, error) {

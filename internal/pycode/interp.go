@@ -235,19 +235,25 @@ func (ip *Interp) execStmt(st Stmt, env *Env) error {
 		if err != nil {
 			return err
 		}
-		items, err := ip.iterate(iter)
+		items, err := ip.iter(iter)
 		if err != nil {
 			return withLine(err, s)
 		}
-		for _, item := range items {
+		for {
+			item, ok, err := items.Next()
+			if err != nil {
+				return withLine(err, s)
+			}
+			if !ok {
+				break
+			}
 			if err := ip.step(s); err != nil {
 				return err
 			}
 			if err := ip.assign(s.Target, item, env); err != nil {
 				return withLine(err, s)
 			}
-			err := ip.execBlock(s.Body, env)
-			if err != nil {
+			if err := ip.execBlock(s.Body, env); err != nil {
 				if _, ok := err.(breakSignal); ok {
 					return nil
 				}
@@ -448,8 +454,13 @@ func (ip *Interp) assign(target Expr, v Value, env *Env) error {
 }
 
 func (ip *Interp) destructure(targets []Expr, v Value, env *Env) error {
-	items, err := ip.iterate(v)
-	if err != nil {
+	// A tuple cannot change while its items are assigned, so it is
+	// unpacked in place; anything else is drained into a copy first.
+	var items []Value
+	var err error
+	if t, ok := v.(*Tuple); ok {
+		items = t.Items
+	} else if items, err = ip.iterate(v); err != nil {
 		return err
 	}
 	if len(items) != len(targets) {
@@ -731,69 +742,90 @@ func (ip *Interp) eval(e Expr, env *Env) (Value, error) {
 	}
 }
 
+// evalComp evaluates a comprehension. The outermost iterable is evaluated
+// now, in the enclosing scope, as CPython does; a generator expression
+// returns a lazy *Generator over it, the others drain it.
 func (ip *Interp) evalComp(x *CompExpr, env *Env) (Value, error) {
 	iter, err := ip.eval(x.Iter, env)
 	if err != nil {
 		return nil, err
 	}
-	items, err := ip.iterate(iter)
+	items, err := ip.iter(iter)
 	if err != nil {
 		return nil, withLine(err, x)
 	}
 	scope := env.Child()
-	if x.IsDict {
-		d := NewDict()
-		for _, item := range items {
+	// next yields the element (and, for a dict comprehension, the value)
+	// of the next item that passes the condition.
+	next := func() (elt, val Value, ok bool, err error) {
+		for {
+			item, ok, err := items.Next()
+			if !ok || err != nil {
+				return nil, nil, false, err
+			}
+			if err := ip.step(x); err != nil {
+				return nil, nil, false, err
+			}
 			if err := ip.assign(x.Target, item, scope); err != nil {
-				return nil, err
+				return nil, nil, false, err
 			}
 			if x.Cond != nil {
 				c, err := ip.eval(x.Cond, scope)
 				if err != nil {
-					return nil, err
+					return nil, nil, false, err
 				}
 				if !Truthy(c) {
 					continue
 				}
 			}
-			k, err := ip.eval(x.Elt, scope)
-			if err != nil {
-				return nil, err
+			if elt, err = ip.eval(x.Elt, scope); err != nil {
+				return nil, nil, false, err
 			}
-			v, err := ip.eval(x.Val, scope)
-			if err != nil {
-				return nil, err
+			if x.IsDict {
+				if val, err = ip.eval(x.Val, scope); err != nil {
+					return nil, nil, false, err
+				}
+			}
+			return elt, val, true, nil
+		}
+	}
+	switch {
+	case x.IsGen:
+		return &Generator{Name: "generator", next: func() (Value, bool, error) {
+			elt, _, ok, err := next()
+			return elt, ok, err
+		}}, nil
+	case x.IsDict:
+		d := NewDict()
+		for {
+			k, v, ok, err := next()
+			if !ok || err != nil {
+				return d, err
 			}
 			if err := d.Set(k, v); err != nil {
 				return nil, withLine(Raise("TypeError", "%s", err), x)
 			}
 		}
-		return d, nil
+	case x.IsSet:
+		s := NewSet()
+		for {
+			v, _, ok, err := next()
+			if !ok || err != nil {
+				return s, err
+			}
+			if err := s.Add(v); err != nil {
+				return nil, withLine(Raise("TypeError", "%s", err), x)
+			}
+		}
 	}
 	var out []Value
-	for _, item := range items {
-		if err := ip.step(x); err != nil {
-			return nil, err
-		}
-		if err := ip.assign(x.Target, item, scope); err != nil {
-			return nil, err
-		}
-		if x.Cond != nil {
-			c, err := ip.eval(x.Cond, scope)
-			if err != nil {
-				return nil, err
-			}
-			if !Truthy(c) {
-				continue
-			}
-		}
-		v, err := ip.eval(x.Elt, scope)
-		if err != nil {
-			return nil, err
+	for {
+		v, _, ok, err := next()
+		if !ok || err != nil {
+			return &List{Items: out}, err
 		}
 		out = append(out, v)
 	}
-	return &List{Items: out}, nil
 }
 
 func (ip *Interp) evalCall(x *CallExpr, env *Env) (Value, error) {
@@ -1204,20 +1236,6 @@ func (ip *Interp) contains(container, item Value) (bool, error) {
 			return false, Raise("TypeError", "'in <string>' requires string as left operand, not %s", TypeName(item))
 		}
 		return strings.Contains(string(c), string(s)), nil
-	case *List:
-		for _, it := range c.Items {
-			if Equal(it, item) {
-				return true, nil
-			}
-		}
-		return false, nil
-	case *Tuple:
-		for _, it := range c.Items {
-			if Equal(it, item) {
-				return true, nil
-			}
-		}
-		return false, nil
 	case *Dict:
 		_, ok, err := c.Get(item)
 		if err != nil {
@@ -1230,46 +1248,24 @@ func (ip *Interp) contains(container, item Value) (bool, error) {
 			return false, Raise("TypeError", "%s", err)
 		}
 		return ok, nil
-	case *NativeObject:
-		if c.Iter != nil {
-			items, err := c.Iter()
-			if err != nil {
-				return false, err
-			}
-			for _, it := range items {
-				if Equal(it, item) {
-					return true, nil
-				}
-			}
-			return false, nil
+	case *Range:
+		return c.contains(item), nil
+	}
+	// Any other iterable is scanned; a generator is consumed up to the
+	// first match.
+	items, err := ip.iter(container)
+	if err != nil {
+		return false, Raise("TypeError", "argument of type %s is not iterable", TypeName(container))
+	}
+	for {
+		it, ok, err := items.Next()
+		if !ok || err != nil {
+			return false, err
+		}
+		if Equal(it, item) {
+			return true, nil
 		}
 	}
-	return false, Raise("TypeError", "argument of type %s is not iterable", TypeName(container))
-}
-
-// iterate flattens any iterable into a slice.
-func (ip *Interp) iterate(v Value) ([]Value, error) {
-	switch x := v.(type) {
-	case *List:
-		return append([]Value(nil), x.Items...), nil
-	case *Tuple:
-		return append([]Value(nil), x.Items...), nil
-	case Str:
-		out := make([]Value, 0, len(x))
-		for _, r := range string(x) {
-			out = append(out, Str(string(r)))
-		}
-		return out, nil
-	case *Dict:
-		return x.Keys(), nil
-	case *Set:
-		return x.Members(), nil
-	case *NativeObject:
-		if x.Iter != nil {
-			return x.Iter()
-		}
-	}
-	return nil, Raise("TypeError", "%s object is not iterable", TypeName(v))
 }
 
 // ---- indexing ----
@@ -1288,6 +1284,12 @@ func (ip *Interp) getIndex(obj, key Value) (Value, error) {
 			return nil, err
 		}
 		return o.Items[idx], nil
+	case *Range:
+		idx, err := seqIndex(key, int(o.Len()))
+		if err != nil {
+			return nil, err
+		}
+		return Int(o.Start + int64(idx)*o.Step), nil
 	case Str:
 		runes := []rune(string(o))
 		idx, err := seqIndex(key, len(runes))
@@ -1402,6 +1404,12 @@ func (ip *Interp) getSlice(obj, lo, hi Value) (Value, error) {
 			return nil, err
 		}
 		return &Tuple{Items: append([]Value(nil), o.Items[s:e]...)}, nil
+	case *Range:
+		s, e, err := bounds(int(o.Len()))
+		if err != nil {
+			return nil, err
+		}
+		return &Range{Start: o.Start + int64(s)*o.Step, Stop: o.Start + int64(e)*o.Step, Step: o.Step}, nil
 	case Str:
 		runes := []rune(string(o))
 		s, e, err := bounds(len(runes))

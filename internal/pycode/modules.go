@@ -68,14 +68,14 @@ func randomModule() *Module {
 		if err := wantArgs("choice", args, 1, 1); err != nil {
 			return nil, err
 		}
-		items, err := ip.iterate(args[0])
-		if err != nil {
-			return nil, err
+		n, ok := seqLen(args[0])
+		if !ok {
+			return nil, Raise("TypeError", "object of type %s has no len()", TypeName(args[0]))
 		}
-		if len(items) == 0 {
+		if n == 0 {
 			return nil, Raise("IndexError", "cannot choose from an empty sequence")
 		}
-		return items[ip.Rand.Intn(len(items))], nil
+		return ip.getIndex(args[0], Int(ip.Rand.Intn(n)))
 	})
 	m.Attrs["shuffle"] = nf("shuffle", func(ip *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 		if err := wantArgs("shuffle", args, 1, 1); err != nil {

@@ -988,6 +988,7 @@ func (p *parser) callTrailer(fn Expr) (Expr, error) {
 				if err != nil {
 					return nil, err
 				}
+				comp.IsGen = true
 				a = comp
 			}
 			call.Args = append(call.Args, a)
@@ -1003,7 +1004,7 @@ func (p *parser) callTrailer(fn Expr) (Expr, error) {
 }
 
 // compTail parses `for target in iter [if cond]` after elt.
-func (p *parser) compTail(elt Expr) (Expr, error) {
+func (p *parser) compTail(elt Expr) (*CompExpr, error) {
 	pos := p.posHere()
 	p.next() // for
 	target, err := p.targetList()
@@ -1091,6 +1092,7 @@ func (p *parser) atom() (Expr, error) {
 				if err != nil {
 					return nil, err
 				}
+				comp.IsGen = true
 				if err := p.expectOp(")"); err != nil {
 					return nil, err
 				}
@@ -1168,19 +1170,17 @@ func (p *parser) atom() (Expr, error) {
 				if err != nil {
 					return nil, err
 				}
-				if p.atKw("for") { // dict comprehension
+				if p.atKw("for") { // dict comprehension; the key is Elt
 					comp, err := p.compTail(first)
 					if err != nil {
 						return nil, err
 					}
-					ce := comp.(*CompExpr)
-					ce.IsDict = true
-					ce.Val = v
-					// careful: compTail used first as Elt, keep key there
+					comp.IsDict = true
+					comp.Val = v
 					if err := p.expectOp("}"); err != nil {
 						return nil, err
 					}
-					return ce, nil
+					return comp, nil
 				}
 				d := &DictExpr{position: pos, Keys: []Expr{first}, Values: []Expr{v}}
 				for p.acceptOp(",") {
@@ -1205,6 +1205,17 @@ func (p *parser) atom() (Expr, error) {
 					return nil, err
 				}
 				return d, nil
+			}
+			if p.atKw("for") { // set comprehension
+				comp, err := p.compTail(first)
+				if err != nil {
+					return nil, err
+				}
+				comp.IsSet = true
+				if err := p.expectOp("}"); err != nil {
+					return nil, err
+				}
+				return comp, nil
 			}
 			// set display
 			items := []Expr{first}

@@ -9,8 +9,8 @@ import (
 
 // Value is any pycode runtime value. Concrete types:
 //
-//	NoneVal, Bool, Int, Float, Str, *List, *Tuple, *Dict, *Set,
-//	*Function, *BoundMethod, *NativeFunc, *Class, *Instance, *Module,
+//	NoneVal, Bool, Int, Float, Str, *List, *Tuple, *Dict, *Set, *Range,
+//	*Generator, *Function, *BoundMethod, *NativeFunc, *Class, *Instance, *Module,
 //	*NativeObject
 type Value interface{}
 
@@ -341,6 +341,10 @@ func TypeName(v Value) string {
 		return "dict"
 	case *Set:
 		return "set"
+	case *Range:
+		return "range"
+	case *Generator:
+		return x.Name
 	case *Function:
 		return "function"
 	case *BoundMethod:
@@ -384,6 +388,8 @@ func Truthy(v Value) bool {
 	case *Dict:
 		return x.Len() != 0
 	case *Set:
+		return x.Len() != 0
+	case *Range:
 		return x.Len() != 0
 	default:
 		return true
@@ -460,6 +466,9 @@ func Equal(a, b Value) bool {
 			}
 		}
 		return true
+	case *Range:
+		y, ok := b.(*Range)
+		return ok && x.equal(y)
 	default:
 		return a == b
 	}
@@ -583,6 +592,10 @@ func Repr(v Value) string {
 			parts = append(parts, Repr(m))
 		}
 		return "{" + strings.Join(parts, ", ") + "}"
+	case *Range:
+		return x.repr()
+	case *Generator:
+		return "<" + x.Name + " object>"
 	case *Function:
 		return "<function " + x.Name + ">"
 	case *BoundMethod:

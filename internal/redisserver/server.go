@@ -2,9 +2,10 @@
 // implements the keyspace commands the Laminar Redis mapping (and its tests)
 // use: strings (GET/SET/DEL/INCR/EXISTS), lists (LPUSH/RPUSH/LPOP/RPOP/
 // BLPOP/BRPOP/LLEN/LRANGE), hashes (HSET/HGET/HGETALL/HDEL), plus PING,
-// FLUSHALL, KEYS and SELECT. Blocking pops park the connection goroutine on
-// a condition variable, giving the same work-queue semantics a real Redis
-// provides to dispel4py's redis mapping.
+// FLUSHALL, KEYS and SELECT. A blocking pop parks the connection goroutine
+// on a wake channel registered under each key it waits on, and a push wakes
+// only the pops waiting on its key, giving the same work-queue semantics a
+// real Redis provides to dispel4py's redis mapping.
 package redisserver
 
 import (
@@ -24,10 +25,11 @@ import (
 // Server is a mini Redis instance.
 type Server struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
 	strings map[string]string
 	lists   map[string][]string
 	hashes  map[string]map[string]string
+	// waiting maps a list key to the wake channels of the pops blocked on it.
+	waiting map[string][]chan struct{}
 
 	ln       net.Listener
 	addr     string
@@ -42,9 +44,9 @@ func New() *Server {
 		strings: map[string]string{},
 		lists:   map[string][]string{},
 		hashes:  map[string]map[string]string{},
+		waiting: map[string][]chan struct{}{},
 		closed:  make(chan struct{}),
 	}
-	s.cond = sync.NewCond(&s.mu)
 	return s
 }
 
@@ -72,9 +74,6 @@ func (s *Server) Close() {
 		if s.ln != nil {
 			s.ln.Close()
 		}
-		s.mu.Lock()
-		s.mu.Unlock() //nolint:staticcheck // lock/unlock pairs with broadcast
-		s.cond.Broadcast()
 	})
 	s.wg.Wait()
 }
@@ -278,8 +277,13 @@ func (s *Server) Dispatch(args []string) resp.Value {
 		}
 		s.lists[args[1]] = lst
 		n := len(lst)
+		for _, wake := range s.waiting[args[1]] {
+			select {
+			case wake <- struct{}{}:
+			default:
+			}
+		}
 		s.mu.Unlock()
-		s.cond.Broadcast()
 		return resp.Integer(int64(n))
 	case "LPOP", "RPOP":
 		if len(args) != 2 {
@@ -426,47 +430,72 @@ func (s *Server) popLocked(key string, left bool) (string, bool) {
 }
 
 // blockingPop implements BLPOP/BRPOP: wait until any key has an element or
-// the timeout elapses (0 = wait forever).
+// the timeout elapses (0 = wait forever). A pop that finds an element
+// returns without a timer or a wake channel.
 func (s *Server) blockingPop(keys []string, left bool, timeout float64) resp.Value {
-	deadline := time.Time{}
+	var deadline time.Time
 	if timeout > 0 {
 		deadline = time.Now().Add(time.Duration(timeout * float64(time.Second)))
 	}
-	// A timer goroutine broadcasts periodically so waiters can observe both
-	// timeouts and server shutdown.
-	stopTick := make(chan struct{})
-	defer close(stopTick)
-	go func() {
-		t := time.NewTicker(5 * time.Millisecond)
-		defer t.Stop()
-		for {
-			select {
-			case <-stopTick:
-				return
-			case <-t.C:
-				s.mu.Lock()
-				s.mu.Unlock() //nolint:staticcheck
-				s.cond.Broadcast()
-			}
+	var wake chan struct{}
+	var expired <-chan time.Time // nil, so never ready, without a timeout
+	defer func() {
+		if wake != nil {
+			s.mu.Lock()
+			s.unwaitLocked(keys, wake)
+			s.mu.Unlock()
 		}
 	}()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for {
 		select {
 		case <-s.closed:
 			return resp.NullArray()
 		default:
 		}
+		s.mu.Lock()
 		for _, k := range keys {
 			if v, ok := s.popLocked(k, left); ok {
+				s.mu.Unlock()
 				return resp.Array(resp.Bulk(k), resp.Bulk(v))
 			}
 		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
+		if wake == nil {
+			wake = make(chan struct{}, 1)
+			for _, k := range keys {
+				s.waiting[k] = append(s.waiting[k], wake)
+			}
+		}
+		s.mu.Unlock()
+		if expired == nil && !deadline.IsZero() {
+			t := time.NewTimer(time.Until(deadline))
+			defer t.Stop()
+			expired = t.C
+		}
+		select {
+		case <-wake:
+		case <-expired:
+			return resp.NullArray()
+		case <-s.closed:
 			return resp.NullArray()
 		}
-		s.cond.Wait()
+	}
+}
+
+// unwaitLocked removes wake from the waiters of every key in keys.
+func (s *Server) unwaitLocked(keys []string, wake chan struct{}) {
+	for _, k := range keys {
+		ws := s.waiting[k]
+		for i, w := range ws {
+			if w == wake {
+				ws = append(ws[:i], ws[i+1:]...)
+				break
+			}
+		}
+		if len(ws) == 0 {
+			delete(s.waiting, k)
+		} else {
+			s.waiting[k] = ws
+		}
 	}
 }
 

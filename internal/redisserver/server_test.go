@@ -312,3 +312,49 @@ func (b *writerBuffer) Read(p []byte) (int, error) {
 	b.data = b.data[n:]
 	return n, nil
 }
+
+// A blocked pop waits on its own keys only: a push to another key leaves
+// it parked, and neither a served nor an expired pop stays registered.
+func TestBLPopWaitsOnItsOwnKeys(t *testing.T) {
+	s, c := startServer(t)
+	c2, err := redisclient.Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	got := make(chan string, 1)
+	go func() {
+		_, v, err := c2.BLPop(5*time.Second, "mine")
+		if err != nil {
+			v = "err:" + err.Error()
+		}
+		got <- v
+	}()
+	for waiting := 0; waiting == 0; time.Sleep(time.Millisecond) {
+		s.mu.Lock()
+		waiting = len(s.waiting["mine"])
+		s.mu.Unlock()
+	}
+	if _, err := c.RPush("other", "x"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case v := <-got:
+		t.Fatalf("a push to another key served the pop: %q", v)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if _, err := c.RPush("mine", "payload"); err != nil {
+		t.Fatal(err)
+	}
+	if v := <-got; v != "payload" {
+		t.Fatalf("got %q, want payload", v)
+	}
+	if _, _, err := c.BLPop(10*time.Millisecond, "empty"); err != redisclient.ErrNil {
+		t.Fatalf("expected ErrNil, got %v", err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.waiting) != 0 {
+		t.Errorf("waiters left registered: %v", s.waiting)
+	}
+}
